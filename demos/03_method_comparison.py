@@ -43,7 +43,7 @@ def surrogate_method(x_raw):
     return surrogate_attribution(det, det.normalizer.apply(x_raw), sur_cfg)
 
 
-reports = evaluate_methods(det, ex, [t for t in test if t.anomalous],
+reports = evaluate_methods([t for t in test if t.anomalous],
                            {"ig": ig_method, "surrogate": surrogate_method})
 print(format_table(reports))
 for r in reports:

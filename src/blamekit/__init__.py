@@ -22,7 +22,6 @@ from .detector import Detector, NegativeSamplingConfig, fit_detector, sample_neg
 from .evaluation import attribution_error, evaluate_methods, mann_whitney_u
 from .exemplar import (
     ExemplarSet,
-    dissimilarity,
     naive_baseline,
     nearest_exemplar,
     select_baseline,
@@ -50,7 +49,6 @@ __all__ = [
     "blame",
     "check_desiderata",
     "completeness_gap",
-    "dissimilarity",
     "evaluate_methods",
     "explain",
     "fit_detector",

@@ -59,23 +59,22 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
     m = path.steps
     mids = (np.arange(m) + 0.5) / m
 
+    # the straight path moves every dimension at once; the axis path walks
+    # one dimension at a time, integrating that dimension's gradient over
+    # its own segment
     if path.kind == "straight":
-        pts = x[None, :] + mids[:, None] * diff[None, :]
-        grads = network.input_gradient_batch(det.model, pts)
-        return diff * grads.mean(axis=0)
+        blocks = [slice(None)]
+    else:
+        blocks = [slice(d, d + 1) for d in _axis_order(diff) if diff[d] != 0.0]
 
-    # axis-aligned: walk one dimension at a time, integrating that
-    # dimension's gradient over its own segment
     raw = np.zeros_like(diff)
     current = x.copy()
-    for d in _axis_order(diff):
-        if diff[d] == 0.0:
-            continue
+    for blk in blocks:
         pts = np.repeat(current[None, :], m, axis=0)
-        pts[:, d] = current[d] + mids * diff[d]
+        pts[:, blk] += mids[:, None] * diff[blk]
         grads = network.input_gradient_batch(det.model, pts)
-        raw[d] = diff[d] * grads[:, d].mean()
-        current[d] += diff[d]
+        raw[blk] = diff[blk] * grads[:, blk].mean(axis=0)
+        current[blk] += diff[blk]
     return raw
 
 
@@ -132,14 +131,13 @@ class Explanation:
 
 
 def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
-            path: PathSpec | None = None, adaptive: bool = True,
-            timestamp=None) -> Explanation:
+            path: PathSpec | None = None, timestamp=None) -> Explanation:
     """Full pipeline for one observation: normalize, pick the nearest
     exemplar, integrate gradients, normalize to blame.
 
-    When adaptive, the step count doubles (up to 2^16) until the
-    completeness gap is within tolerance; the residual gap is reported
-    either way. A near-normal observation is flagged, not rejected.
+    The step count doubles (up to 2^16) until the completeness gap is
+    within tolerance; the residual gap is reported either way. A
+    near-normal observation is flagged, not rejected.
     """
     if path is None:
         path = PathSpec()
@@ -151,7 +149,7 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
         p = PathSpec(path.kind, m)
         raw = integrated_gradients(det, x, x_base, p)
         gap = completeness_gap(det, x, x_base, raw)
-        if not adaptive or gap <= GAP_TOLERANCE or m >= MAX_STEPS:
+        if gap <= GAP_TOLERANCE or m >= MAX_STEPS:
             break
         m *= 2
 

@@ -126,7 +126,7 @@ def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, list[Labele
     names = [f"dim_{d}" for d in range(cfg.dims)]
 
     train, _ = _draw_normals(cfg, cfg.n_normal, rng)
-    train_ds = Dataset(names, train, provenance=f"synthetic benchmark seed={cfg.seed}")
+    train_ds = Dataset(names, train)
 
     test: list[LabeledAnomaly] = []
     normals, _ = _draw_normals(cfg, cfg.n_test_normal, rng)

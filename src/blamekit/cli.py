@@ -159,7 +159,7 @@ def cmd_evaluate(args) -> int:
             raise InputError(f"unknown method {name!r}; choose from {sorted(available)}")
         methods[name] = available[name]
 
-    reports = evaluate_methods(det, ex, test, methods)
+    reports = evaluate_methods(test, methods)
     Path(args.out).write_text(reports_to_json(reports))
     table = format_table(reports)
     if args.table:

@@ -1,8 +1,10 @@
 """Density-based clustering (DBSCAN) under Euclidean distance.
 
-Small from-scratch implementation: candidate baseline sets are a few
-thousand points at most, so neighbor queries are plain vectorized
-distance scans instead of a spatial index.
+Small from-scratch implementation: neighbor queries are plain
+vectorized distance scans instead of a spatial index, so a call takes
+O(n^2) time and O(n) memory. Candidate baseline sets grow with the
+training data: about 5 000 points on the default 8-D benchmark, about
+13 000 at 15 000 normal rows.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         d2 = np.sum((points - points[i]) ** 2, axis=1)
         return np.flatnonzero(d2 <= eps2)
 
+    # a point is labeled when it is enqueued, so none is enqueued twice; a
+    # border point keeps the first (lowest-numbered) cluster that reaches it
+    def claim(nbrs, cluster, queue):
+        new = nbrs[labels[nbrs] == NOISE]
+        labels[new] = cluster
+        queue.extend(new.tolist())
+
     cluster = 0
     for i in range(n):
         if visited[i]:
@@ -35,17 +44,16 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         if len(seed) < min_pts:
             continue  # stays noise unless later absorbed as a border point
         labels[i] = cluster
-        queue = deque(seed)
+        queue = deque()
+        claim(seed, cluster, queue)
         while queue:
             j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster
             if visited[j]:
                 continue
             visited[j] = True
             nbrs = neighbors(j)
             if len(nbrs) >= min_pts:
-                queue.extend(nbrs)
+                claim(nbrs, cluster, queue)
         cluster += 1
     return labels
 

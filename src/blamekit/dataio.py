@@ -23,7 +23,6 @@ class Dataset:
     names: list[str]
     values: np.ndarray  # (N, D)
     timestamps: list[datetime | None] = field(default_factory=list)
-    provenance: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -85,8 +84,7 @@ def load_telemetry(path) -> Dataset:
                 except ValueError:
                     raise ParseError(f"{path}: row {lineno} column {col!r}: not a number: {cell!r}") from None
             rows.append(vals)
-    return Dataset(names, np.array(rows, dtype=float).reshape(len(rows), len(names)),
-                   stamps, provenance=str(path))
+    return Dataset(names, np.array(rows, dtype=float).reshape(len(rows), len(names)), stamps)
 
 
 def save_telemetry(ds: Dataset, path, extra_names=(), extra_values=None) -> None:

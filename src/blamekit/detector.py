@@ -16,6 +16,7 @@ import numpy as np
 from . import network
 from .dataio import Dataset, Normalizer, fit_normalizer
 from .errors import InputError, ShapeError
+from .evaluation import rank_auc
 from .network import NetworkModel, TrainConfig
 
 
@@ -88,17 +89,6 @@ def sample_negatives(x_norm: np.ndarray, cfg: NegativeSamplingConfig) -> np.ndar
     n = int(np.ceil(cfg.ratio * len(x_norm)))
     rng = np.random.default_rng(cfg.seed)
     return rng.uniform(-cfg.envelope, 1.0 + cfg.envelope, size=(n, x_norm.shape[1]))
-
-
-def rank_auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
-    """AUC as the Mann-Whitney rank statistic (wins + half ties)."""
-    pos = np.asarray(scores_pos, dtype=float)
-    neg = np.asarray(scores_neg, dtype=float)
-    if len(pos) == 0 or len(neg) == 0:
-        return float("nan")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
 def fit_detector(

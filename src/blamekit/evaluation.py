@@ -3,7 +3,7 @@
 The attribution error is the mean absolute difference between a
 method's blame vector and the labeled ground-truth vector. Methods are
 compared per anomalous row and ranked with a two-sided Mann-Whitney U
-test at the 5% level.
+test at the 5% level. The same U over P*N is the detector's AUC.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .benchmark import LabeledAnomaly
-from .detector import Detector
 from .errors import InputError, ShapeError
-from .exemplar import ExemplarSet
 
 EXACT_ENUM_LIMIT = 500_000  # max arrangements for exact enumeration
 
@@ -32,21 +30,25 @@ def attribution_error(b: np.ndarray, beta: np.ndarray) -> float:
     return float(np.sum(np.abs(b - beta)) / len(b))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with ties sharing their mean rank, and the tie-group sizes."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of c tied values ending at rank r shares rank r - (c - 1) / 2
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group], counts
 
 
 def _u_statistic(ranks_a: np.ndarray, n_a: int) -> float:
     return float(ranks_a.sum() - n_a * (n_a + 1) / 2.0)
+
+
+def rank_auc(scores_pos, scores_neg) -> float:
+    """AUC as the Mann-Whitney U of the positives over P*N (wins + half ties)."""
+    pos = np.asarray(scores_pos, dtype=float)
+    neg = np.asarray(scores_neg, dtype=float)
+    if len(pos) == 0 or len(neg) == 0:
+        return float("nan")
+    ranks, _ = _midranks(np.concatenate([pos, neg]))
+    return _u_statistic(ranks[: len(pos)], len(pos)) / (len(pos) * len(neg))
 
 
 def mann_whitney_u(errs_a, errs_b) -> tuple[float, float]:
@@ -62,8 +64,7 @@ def mann_whitney_u(errs_a, errs_b) -> tuple[float, float]:
     if len(a) < 3 or len(b) < 3:
         raise InputError("each sample needs at least 3 observations")
     n_a, n_b = len(a), len(b)
-    pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks, counts = _midranks(np.concatenate([a, b]))
     u_a = _u_statistic(ranks[:n_a], n_a)
 
     if min(n_a, n_b) < 8 and math.comb(n_a + n_b, n_a) <= EXACT_ENUM_LIMIT:
@@ -78,7 +79,6 @@ def mann_whitney_u(errs_a, errs_b) -> tuple[float, float]:
 
     n = n_a + n_b
     mu = n_a * n_b / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(counts ** 3 - counts)) / (n * (n - 1))
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term)
     if var == 0.0:
@@ -114,9 +114,7 @@ class MethodReport:
         }
 
 
-def evaluate_methods(det: Detector, ex: ExemplarSet,
-                     test: list[LabeledAnomaly],
-                     methods: dict) -> list[MethodReport]:
+def evaluate_methods(test: list[LabeledAnomaly], methods: dict) -> list[MethodReport]:
     """Score each attribution method on every labeled anomalous row.
 
     `methods` maps a name to a callable taking a raw observation and

@@ -23,15 +23,17 @@ log = logging.getLogger(__name__)
 METRICS = ("L1", "L2")
 
 
-def dissimilarity(x, y, metric: str = "L2") -> float:
+def distances(x, points, metric: str = "L2") -> np.ndarray:
+    """L1 or L2 distance from vector x to each row of points."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ShapeError(f"width mismatch: {x.shape} vs {y.shape}")
+    points = np.asarray(points, dtype=float)
+    if x.shape != (points.shape[1],):
+        raise ShapeError(f"expected width {points.shape[1]}, got {x.shape}")
+    diff = points - x
     if metric == "L1":
-        return float(np.sum(np.abs(x - y)))
+        return np.sum(np.abs(diff), axis=1)
     if metric == "L2":
-        return float(np.sqrt(np.sum((x - y) ** 2)))
+        return np.sqrt(np.sum(diff * diff, axis=1))
     raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
@@ -175,15 +177,6 @@ def nearest_exemplar(x: np.ndarray, ex: ExemplarSet, metric: str = "L2"):
     """Closest exemplar to x under the metric; ties break to lowest index."""
     if len(ex) == 0:
         raise EmptyBaselineError("exemplar set is empty")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ex.points.shape[1],):
-        raise ShapeError(f"expected width {ex.points.shape[1]}, got {x.shape}")
-    diff = ex.points - x
-    if metric == "L1":
-        dists = np.sum(np.abs(diff), axis=1)
-    elif metric == "L2":
-        dists = np.sqrt(np.sum(diff * diff, axis=1))
-    else:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    dists = distances(x, ex.points, metric)
     best = int(np.argmin(dists))  # argmin returns the first minimum
     return ex.points[best].copy(), float(dists[best])

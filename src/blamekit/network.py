@@ -9,7 +9,7 @@ hand-rolled for this fixed architecture; no autodiff framework.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,13 +144,18 @@ def _check_input(model: NetworkModel, x) -> np.ndarray:
     return x
 
 
+def _activations(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output for a (N, D) batch, the input first."""
+    acts = [x]
+    for layer in model.layers:
+        acts.append(_act(acts[-1] @ layer.w + layer.b, layer.act))
+    return acts
+
+
 def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """Scores for a (N, D) batch; returns shape (N,)."""
     x = _check_input(model, np.atleast_2d(x))
-    a = x
-    for layer in model.layers:
-        a = _act(a @ layer.w + layer.b, layer.act)
-    return a[:, 0]
+    return _activations(model, x)[-1][:, 0]
 
 
 def forward(model: NetworkModel, x) -> float:
@@ -163,11 +168,7 @@ def forward(model: NetworkModel, x) -> float:
 def input_gradient_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """dF/dx for each row of a (N, D) batch, exact reverse mode."""
     x = _check_input(model, np.atleast_2d(x))
-    activations = [x]
-    a = x
-    for layer in model.layers:
-        a = _act(a @ layer.w + layer.b, layer.act)
-        activations.append(a)
+    activations = _activations(model, x)
     # backprop dF w.r.t. inputs only (no parameter gradients needed here)
     delta = np.ones((x.shape[0], 1))
     for layer, a in zip(reversed(model.layers), reversed(activations[1:])):
@@ -188,11 +189,7 @@ def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _sgd_step(model: NetworkModel, xb: np.ndarray, yb: np.ndarray, lr: float) -> None:
-    activations = [xb]
-    a = xb
-    for layer in model.layers:
-        a = _act(a @ layer.w + layer.b, layer.act)
-        activations.append(a)
+    activations = _activations(model, xb)
     # logistic output + BCE: output delta simplifies to (p - y)
     delta = (activations[-1][:, 0] - yb)[:, None] / len(yb)
     for i in range(len(model.layers) - 1, -1, -1):
@@ -227,7 +224,9 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
         for start in range(0, len(x), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             _sgd_step(out, x[idx], y[idx], cfg.learning_rate)
-        loss = mean_bce(out, x, y)
-        if not np.isfinite(loss):
+        # a NaN or inf parameter is what makes the loss non-finite; checking
+        # the parameters costs O(weights), not a pass over every row
+        if not all(np.all(np.isfinite(l.w)) and np.all(np.isfinite(l.b))
+                   for l in out.layers):
             raise NumericError("training loss became non-finite; lower the learning rate")
     return out

@@ -215,7 +215,7 @@ def test_08_attribution_quality(det16, ex16, anomalies16):
         return surrogate_attribution(det16, det16.normalizer.apply(x_raw), cfg)
 
     reports = {r.name: r for r in evaluate_methods(
-        det16, ex16, anomalies16, {"ig": ig_method, "surrogate": surrogate_method})}
+        anomalies16, {"ig": ig_method, "surrogate": surrogate_method})}
     p = reports["ig"].p_values["surrogate"]
 
     singles = [a for a in anomalies16 if np.isclose(a.beta.max(), 1.0)]

@@ -13,6 +13,21 @@ from blamekit.detector import rank_auc
 from blamekit.errors import InputError
 
 
+class TestRankAuc:
+    def test_ties_match_pair_count(self):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            pos = rng.integers(0, 5, size=rng.integers(1, 40)).astype(float)
+            neg = rng.integers(0, 5, size=rng.integers(1, 40)).astype(float)
+            wins = sum(p > n for p in pos for n in neg)
+            ties = sum(p == n for p in pos for n in neg)
+            assert rank_auc(pos, neg) == (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+    def test_empty_side_is_nan(self):
+        assert np.isnan(rank_auc([], [0.5]))
+        assert np.isnan(rank_auc([0.5], []))
+
+
 class TestSampleNegatives:
     def test_count_and_range(self):
         x = np.random.default_rng(0).uniform(size=(100, 4))

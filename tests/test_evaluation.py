@@ -160,28 +160,26 @@ class TestEvaluateMethods:
             out.append(LabeledAnomaly(rng.uniform(size=d), True, beta))
         return out
 
-    def test_single_method(self, det16, ex16):
+    def test_single_method(self):
         test = self.fake_test_set(d=16)
-        reports = evaluate_methods(det16, ex16, test,
-                                   {"uniform": lambda x: np.full(16, 1.0 / 16)})
+        reports = evaluate_methods(test, {"uniform": lambda x: np.full(16, 1.0 / 16)})
         assert len(reports) == 1
         assert reports[0].p_values == {}
         assert len(reports[0].errors) == 40
 
-    def test_mean_std_consistency(self, det16, ex16):
+    def test_mean_std_consistency(self):
         test = self.fake_test_set(d=16)
-        reports = evaluate_methods(det16, ex16, test,
-                                   {"uniform": lambda x: np.full(16, 1.0 / 16)})
+        reports = evaluate_methods(test, {"uniform": lambda x: np.full(16, 1.0 / 16)})
         r = reports[0]
         assert r.mean == pytest.approx(np.mean(r.errors), abs=1e-12)
         assert r.std == pytest.approx(np.std(r.errors), abs=1e-12)
 
-    def test_failing_method_isolated(self, det16, ex16):
+    def test_failing_method_isolated(self):
         def broken(x):
             raise RuntimeError("boom")
 
         test = self.fake_test_set(d=16)
-        reports = evaluate_methods(det16, ex16, test, {
+        reports = evaluate_methods(test, {
             "uniform": lambda x: np.full(16, 1.0 / 16),
             "broken": broken,
         })
@@ -191,9 +189,9 @@ class TestEvaluateMethods:
         assert len(by_name["uniform"].errors) == 40
         assert by_name["uniform"].p_values == {}
 
-    def test_too_few_anomalies_rejected(self, det16, ex16):
+    def test_too_few_anomalies_rejected(self):
         with pytest.raises(InputError):
-            evaluate_methods(det16, ex16, self.fake_test_set(n=10, d=16),
+            evaluate_methods(self.fake_test_set(n=10, d=16),
                              {"uniform": lambda x: np.full(16, 1.0 / 16)})
 
     def test_table_formatting(self):

@@ -7,7 +7,7 @@ from blamekit.detector import Detector
 from blamekit.errors import EmptyBaselineError, ShapeError
 from blamekit.exemplar import (
     ExemplarSet,
-    dissimilarity,
+    distances,
     naive_baseline,
     nearest_exemplar,
     select_baseline,
@@ -25,32 +25,48 @@ def flat_detector(dims=2):
 coords = st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3)
 
 
+def dist(x, y, metric):
+    """Distance between two vectors, through the one-row case of `distances`."""
+    d = distances(x, np.atleast_2d(y), metric)
+    assert d.shape == (1,)
+    return d[0]
+
+
 class TestDissimilarity:
     def test_identity(self):
         x = np.array([1.0, 2.0])
-        assert dissimilarity(x, x, "L1") == 0.0
-        assert dissimilarity(x, x, "L2") == 0.0
+        assert dist(x, x, "L1") == 0.0
+        assert dist(x, x, "L2") == 0.0
 
     def test_three_four_five(self):
         x, y = np.zeros(2), np.array([3.0, 4.0])
-        assert dissimilarity(x, y, "L1") == 7.0
-        assert dissimilarity(x, y, "L2") == 5.0
+        assert dist(x, y, "L1") == 7.0
+        assert dist(x, y, "L2") == 5.0
 
     def test_symmetry(self):
         x, y = np.array([1.0, -2.0]), np.array([0.5, 4.0])
         for m in ("L1", "L2"):
-            assert dissimilarity(x, y, m) == dissimilarity(y, x, m)
+            assert dist(x, y, m) == dist(y, x, m)
+
+    def test_one_distance_per_row(self):
+        pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, -1.0]])
+        np.testing.assert_array_equal(distances(np.zeros(2), pts, "L1"), [0.0, 7.0, 2.0])
+        np.testing.assert_allclose(distances(np.zeros(2), pts, "L2"),
+                                   [0.0, 5.0, np.sqrt(2.0)], rtol=1e-15)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            dissimilarity(np.zeros(2), np.zeros(3))
+            distances(np.zeros(2), np.zeros((4, 3)))
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError):
+            distances(np.zeros(2), np.zeros((4, 2)), "Linf")
 
     @given(coords, coords, coords)
     def test_triangle_inequality(self, a, b, c):
         a, b, c = np.array(a), np.array(b), np.array(c)
         for m in ("L1", "L2"):
-            assert dissimilarity(a, c, m) <= (
-                dissimilarity(a, b, m) + dissimilarity(b, c, m) + 1e-9)
+            assert dist(a, c, m) <= dist(a, b, m) + dist(b, c, m) + 1e-9
 
 
 class TestSelectBaseline:
@@ -156,9 +172,10 @@ class TestNearestExemplar:
         pts = rng.uniform(size=(20, 3))
         ex = ExemplarSet(pts, np.zeros(20, dtype=int), np.ones(20))
         x = rng.uniform(size=3)
-        for m in ("L1", "L2"):
+        for m, order in (("L1", 1), ("L2", 2)):
             _, d = nearest_exemplar(x, ex, m)
-            assert all(d <= dissimilarity(x, p, m) for p in pts)
+            oracle = [np.linalg.norm(x - p, ord=order) for p in pts]
+            assert d == pytest.approx(min(oracle), rel=1e-12)
 
     def test_empty_set(self):
         ex = ExemplarSet(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0))
