@@ -2,9 +2,9 @@
 
 The raw attribution for a dimension is the overall rate of change of
 the detector along that dimension over the path from the anomaly to its
-baseline, approximated with a midpoint Riemann sum. The blame vector
-rescales the positive part of the raw attribution into [0,1]^D with
-total mass at most 1.
+baseline: exact on the axis (L1) path, a midpoint Riemann sum on the
+straight (L2) path. The blame vector rescales the positive part of the
+raw attribution into [0,1]^D with total mass at most 1.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ MAX_STEPS = 2 ** 16
 @dataclass
 class PathSpec:
     kind: str = "straight"   # "straight" = L2 line, "axis" = city-block
-    steps: int = 1024
+    steps: int = 1024        # midpoint nodes of the straight path; axis is exact
 
     def __post_init__(self):
         if self.kind not in PATH_KINDS:
@@ -40,14 +40,15 @@ class PathSpec:
         return {"kind": self.kind, "m": self.steps}
 
 
-def _axis_order(diff: np.ndarray) -> np.ndarray:
-    # descending |displacement|, index tie-break; stable sort keeps it deterministic
-    return np.argsort(-np.abs(diff), kind="stable")
-
-
 def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
                          path: PathSpec) -> np.ndarray:
-    """Midpoint-rule IG of the detector from x to x_base in normalized space."""
+    """IG of the detector from x to x_base in normalized space.
+
+    The axis path moves one displaced dimension at a time, largest
+    |displacement| first (lower index on ties), so each dimension's
+    integral is exactly the score difference across its own segment. The
+    straight path uses a midpoint Riemann sum with `path.steps` nodes.
+    """
     x = np.asarray(x, dtype=float)
     x_base = np.asarray(x_base, dtype=float)
     if x.shape != x_base.shape or x.ndim != 1:
@@ -56,32 +57,27 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
         raise InputError("non-finite endpoint")
 
     diff = x_base - x
-    m = path.steps
-    mids = (np.arange(m) + 0.5) / m
-
-    # the straight path moves every dimension at once; the axis path walks
-    # one dimension at a time, integrating that dimension's gradient over
-    # its own segment
     if path.kind == "straight":
-        blocks = [slice(None)]
-    else:
-        blocks = [slice(d, d + 1) for d in _axis_order(diff) if diff[d] != 0.0]
+        mids = (np.arange(path.steps) + 0.5) / path.steps
+        grads = network.input_gradient_batch(det.model, x + mids[:, None] * diff)
+        return diff * grads.mean(axis=0)
 
+    # a stable sort keeps the tie-break, and so the staircase, deterministic
+    moved = [d for d in np.argsort(-np.abs(diff), kind="stable") if diff[d] != 0.0]
+    corners = np.repeat(x[None, :], len(moved) + 1, axis=0)
+    for k, d in enumerate(moved):
+        corners[k + 1:, d] = x_base[d]
     raw = np.zeros_like(diff)
-    current = x.copy()
-    for blk in blocks:
-        pts = np.repeat(current[None, :], m, axis=0)
-        pts[:, blk] += mids[:, None] * diff[blk]
-        grads = network.input_gradient_batch(det.model, pts)
-        raw[blk] = diff[blk] * grads[:, blk].mean(axis=0)
-        current[blk] += diff[blk]
+    raw[moved] = np.diff(network.forward_batch(det.model, corners))
     return raw
 
 
-def completeness_gap(det: Detector, x, x_base, raw: np.ndarray) -> float:
-    fx = float(network.forward(det.model, np.asarray(x, dtype=float)))
-    fb = float(network.forward(det.model, np.asarray(x_base, dtype=float)))
+def _gap(raw: np.ndarray, fx: float, fb: float) -> float:
     return abs(float(np.sum(raw)) - (fb - fx))
+
+
+def completeness_gap(det: Detector, x, x_base, raw: np.ndarray) -> float:
+    return _gap(raw, network.forward(det.model, x), network.forward(det.model, x_base))
 
 
 def blame(raw: np.ndarray) -> np.ndarray:
@@ -135,26 +131,26 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
     """Full pipeline for one observation: normalize, pick the nearest
     exemplar, integrate gradients, normalize to blame.
 
-    The step count doubles (up to 2^16) until the completeness gap is
-    within tolerance; the residual gap is reported either way. A
-    near-normal observation is flagged, not rejected.
+    On the straight path the step count doubles (up to 2^16) until the
+    completeness gap is within tolerance; the exact axis path stops after
+    one pass. The residual gap is reported either way. A near-normal
+    observation is flagged, not rejected.
     """
     if path is None:
         path = PathSpec()
     x = det.normalizer.apply(np.asarray(x_raw, dtype=float))
     x_base, _ = nearest_exemplar(x, ex, metric)
+    fx = network.forward(det.model, x)
+    fb = network.forward(det.model, x_base)
 
     m = path.steps
     while True:
-        p = PathSpec(path.kind, m)
-        raw = integrated_gradients(det, x, x_base, p)
-        gap = completeness_gap(det, x, x_base, raw)
+        raw = integrated_gradients(det, x, x_base, PathSpec(path.kind, m))
+        gap = _gap(raw, fx, fb)
         if gap <= GAP_TOLERANCE or m >= MAX_STEPS:
             break
         m *= 2
 
-    fx = float(network.forward(det.model, x))
-    fb = float(network.forward(det.model, x_base))
     flags = []
     if fx > 0.5:
         flags.append("non_anomalous")

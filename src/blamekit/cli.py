@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--metric", choices=["L1", "L2"], default="L2")
     p.add_argument("--path", choices=["straight", "axis"], default="straight")
-    p.add_argument("--steps", type=int, default=1024)
+    p.add_argument("--steps", type=int, default=1024,
+                   help="starting step count of the straight path (the axis path is exact)")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="compare attribution methods on a labeled test set")
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ig,surrogate")
     p.add_argument("--metric", choices=["L1", "L2"], default="L2")
     p.add_argument("--path", choices=["straight", "axis"], default="straight")
-    p.add_argument("--steps", type=int, default=1024)
+    p.add_argument("--steps", type=int, default=1024,
+                   help="starting step count of the straight path (the axis path is exact)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -241,7 +243,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, InputError, ConfigError, ShapeError) as exc:
+    except (FileNotFoundError, ParseError, InputError, ConfigError, ShapeError,
+            ValueError) as exc:  # the config objects raise ValueError on a bad flag
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TrainingError, NumericError) as exc:

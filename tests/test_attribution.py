@@ -10,6 +10,7 @@ from blamekit.attribution import (
     explain,
     integrated_gradients,
 )
+from blamekit import network
 from blamekit.errors import InputError, ShapeError
 from helpers import logistic_unit_ig_closed_form, unit_detector
 
@@ -65,6 +66,72 @@ class TestIntegratedGradients:
         det = unit_detector([1.0, 1.0])
         with pytest.raises(ShapeError):
             integrated_gradients(det, np.zeros(2), np.zeros(3), PathSpec())
+
+
+def staircase_quadrature(det, x, xb, m):
+    """Midpoint rule along the axis path, one segment per displaced
+    dimension in descending |displacement| order (lower index first)."""
+    diff = xb - x
+    order = sorted(range(len(x)), key=lambda d: (-abs(diff[d]), d))
+    mids = (np.arange(m) + 0.5) / m
+    raw = np.zeros_like(x)
+    start = x.copy()
+    for d in order:
+        if diff[d] == 0.0:
+            continue
+        pts = np.repeat(start[None, :], m, axis=0)
+        pts[:, d] += mids * diff[d]
+        raw[d] = diff[d] * network.input_gradient_batch(det.model, pts)[:, d].mean()
+        start[d] = xb[d]
+    return raw
+
+
+class TestExactAxisPath:
+    def pairs(self, det16, ex16, anomalies16, n=20):
+        for k, t in enumerate(anomalies16[:n]):
+            yield det16.normalizer.apply(t.x), ex16.points[k % len(ex16)]
+
+    def test_matches_dense_quadrature(self, det16, ex16, anomalies16):
+        n = 0
+        for x, xb in self.pairs(det16, ex16, anomalies16):
+            raw = integrated_gradients(det16, x, xb, PathSpec("axis", 1))
+            np.testing.assert_allclose(raw, staircase_quadrature(det16, x, xb, 16384),
+                                       rtol=0, atol=1e-6)
+            n += 1
+        assert n >= 20
+
+    def test_sum_is_score_difference(self, det16, ex16, anomalies16):
+        for x, xb in self.pairs(det16, ex16, anomalies16):
+            raw = integrated_gradients(det16, x, xb, PathSpec("axis", 1))
+            fx, fb = network.forward(det16.model, x), network.forward(det16.model, xb)
+            assert abs(raw.sum() - (fb - fx)) <= 1e-12
+
+    def test_zero_weight_dimension_is_exactly_zero(self):
+        det = unit_detector([1.0, 0.0, -1.0])
+        x, xb = np.array([0.1, 0.9, 0.2]), np.array([0.7, 0.1, 0.6])
+        raw = integrated_gradients(det, x, xb, PathSpec("axis", 1))
+        assert raw[1] == 0.0
+        assert raw[0] != 0.0 and raw[2] != 0.0
+
+    def test_logistic_unit_segments(self):
+        w, b = np.array([1.5, -2.0, 0.5]), 0.3
+        det = unit_detector(w, b)
+        x, xb = np.array([0.1, 0.9, 0.4]), np.array([0.6, 0.2, 0.3])
+        # |displacement| is 0.5, 0.7, 0.1: dimension 1 moves first, then 0, then 2
+        p0 = np.array([0.1, 0.9, 0.4])
+        p1 = np.array([0.1, 0.2, 0.4])
+        p2 = np.array([0.6, 0.2, 0.4])
+        p3 = np.array([0.6, 0.2, 0.3])
+        f = [network.logistic(w @ p + b) for p in (p0, p1, p2, p3)]
+        expected = np.array([f[2] - f[1], f[1] - f[0], f[3] - f[2]])
+        raw = integrated_gradients(det, x, xb, PathSpec("axis", 1))
+        np.testing.assert_allclose(raw, expected, rtol=0, atol=1e-15)
+
+    def test_explain_stops_at_first_pass(self, det16, ex16, anomalies16):
+        e = explain(det16, ex16, anomalies16[0].x, metric="L1",
+                    path=PathSpec("axis", 8))
+        assert e.path.steps == 8
+        assert e.gap <= 1e-12
 
 
 class TestBlame:

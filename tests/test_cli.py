@@ -125,3 +125,30 @@ class TestEvaluateCommand:
                    str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
                    "--out", str(tmp_path / "r.json"), "--methods", "shap"])
         assert rc == 2
+
+
+class TestBadNumericFlags:
+    """An out-of-range numeric flag is bad input: exit 2, one error line."""
+
+    def check(self, argv, out, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_explain_steps_zero(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "e.jsonl"
+        self.check(["explain", str(pipeline / "detector.json"),
+                    str(pipeline / "exemplars.json"), str(small_input(pipeline, tmp_path)),
+                    "--out", str(out), "--steps", "0"], out, capsys)
+
+    def test_baseline_n_zero(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ex.json"
+        self.check(["baseline", str(pipeline / "detector.json"),
+                    str(pipeline / "train.csv"), "--out", str(out), "--n", "0"],
+                   out, capsys)
+
+    def test_train_lr_zero(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
+                    "--lr", "0"], out, capsys)
