@@ -26,7 +26,7 @@ from .exemplar import (
     nearest_exemplar,
     select_baseline,
 )
-from .network import NetworkModel, TrainConfig, forward, input_gradient, train
+from .network import NetworkModel, TrainConfig, forward, train
 from .surrogate import SurrogateConfig, surrogate_attribution
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "fit_normalizer",
     "forward",
     "generate_fault_benchmark",
-    "input_gradient",
     "integrated_gradients",
     "load_telemetry",
     "mann_whitney_u",

@@ -3,8 +3,10 @@
 The raw attribution for a dimension is the overall rate of change of
 the detector along that dimension over the path from the anomaly to its
 baseline: exact on the axis (L1) path, a midpoint Riemann sum on the
-straight (L2) path. The blame vector rescales the positive part of the
-raw attribution into [0,1]^D with total mass at most 1.
+straight (L2) path, whose step count `explain` doubles from START_STEPS
+until the completeness gap is within tolerance. The blame vector
+rescales the positive part of the raw attribution into [0,1]^D with
+total mass at most 1.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from .exemplar import ExemplarSet, nearest_exemplar
 PATH_KINDS = ("straight", "axis")
 
 GAP_TOLERANCE = 1e-3
+START_STEPS = 64
 MAX_STEPS = 2 ** 16
 
 
 @dataclass
 class PathSpec:
-    kind: str = "straight"   # "straight" = L2 line, "axis" = city-block
-    steps: int = 1024        # midpoint nodes of the straight path; axis is exact
+    kind: str = "straight"     # "straight" = L2 line, "axis" = city-block
+    steps: int = START_STEPS   # midpoint nodes of the straight path; axis is exact
 
     def __post_init__(self):
         if self.kind not in PATH_KINDS:
@@ -47,7 +50,8 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
     The axis path moves one displaced dimension at a time, largest
     |displacement| first (lower index on ties), so each dimension's
     integral is exactly the score difference across its own segment. The
-    straight path uses a midpoint Riemann sum with `path.steps` nodes.
+    straight path uses a midpoint Riemann sum with `path.steps` nodes
+    (START_STEPS by default); `explain` doubles them as needed.
     """
     x = np.asarray(x, dtype=float)
     x_base = np.asarray(x_base, dtype=float)
@@ -127,25 +131,24 @@ class Explanation:
 
 
 def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
-            path: PathSpec | None = None, timestamp=None) -> Explanation:
+            path: str = "straight", timestamp=None) -> Explanation:
     """Full pipeline for one observation: normalize, pick the nearest
     exemplar, integrate gradients, normalize to blame.
 
-    On the straight path the step count doubles (up to 2^16) until the
+    `path` is a path kind, "straight" or "axis". On the straight path the
+    step count starts at START_STEPS and doubles (up to 2^16) until the
     completeness gap is within tolerance; the exact axis path stops after
-    one pass. The residual gap is reported either way. A near-normal
-    observation is flagged, not rejected.
+    one pass. The steps used and the residual gap are reported either
+    way. A near-normal observation is flagged, not rejected.
     """
-    if path is None:
-        path = PathSpec()
     x = det.normalizer.apply(np.asarray(x_raw, dtype=float))
     x_base, _ = nearest_exemplar(x, ex, metric)
     fx = network.forward(det.model, x)
     fb = network.forward(det.model, x_base)
 
-    m = path.steps
+    m = START_STEPS
     while True:
-        raw = integrated_gradients(det, x, x_base, PathSpec(path.kind, m))
+        raw = integrated_gradients(det, x, x_base, PathSpec(path, m))
         gap = _gap(raw, fx, fb)
         if gap <= GAP_TOLERANCE or m >= MAX_STEPS:
             break
@@ -161,7 +164,7 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
     if timestamp is not None:
         ts = timestamp.isoformat() if hasattr(timestamp, "isoformat") else str(timestamp)
     return Explanation(x, x_base.copy(), fx, fb, raw, blame(raw), gap,
-                       metric, PathSpec(path.kind, m), flags, ts)
+                       metric, PathSpec(path, m), flags, ts)
 
 
 def check_desiderata(det: Detector, x, x_base, raw: np.ndarray,

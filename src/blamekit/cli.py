@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark as bench
-from .attribution import PathSpec, explain
+from .attribution import explain
 from .dataio import load_telemetry
 from .detector import Detector, NegativeSamplingConfig, fit_detector
 from .errors import (
@@ -125,10 +125,9 @@ def cmd_explain(args) -> int:
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
     data = load_telemetry(args.input_csv)
-    path = PathSpec(args.path, args.steps)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i in range(len(data)):
-            e = explain(det, ex, data.values[i], metric=args.metric, path=path,
+            e = explain(det, ex, data.values[i], metric=args.metric, path=args.path,
                         timestamp=data.timestamps[i])
             fh.write(e.to_json() + "\n")
     _write_runlog(args.out, "explain", vars(args), {},
@@ -141,11 +140,10 @@ def cmd_evaluate(args) -> int:
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
     test = bench.load_labeled(args.test_csv)
-    path = PathSpec(args.path, args.steps)
     sur_seed = _fan_out(args.seed, "surrogate")
 
     def ig_method(x_raw):
-        return explain(det, ex, x_raw, metric=args.metric, path=path).blame
+        return explain(det, ex, x_raw, metric=args.metric, path=args.path).blame
 
     def surrogate_method(x_raw):
         cfg = SurrogateConfig(samples=25 * det.dims, seed=sur_seed)
@@ -219,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--metric", choices=["L1", "L2"], default="L2")
     p.add_argument("--path", choices=["straight", "axis"], default="straight")
-    p.add_argument("--steps", type=int, default=1024,
-                   help="starting step count of the straight path (the axis path is exact)")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="compare attribution methods on a labeled test set")
@@ -232,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ig,surrogate")
     p.add_argument("--metric", choices=["L1", "L2"], default="L2")
     p.add_argument("--path", choices=["straight", "axis"], default="straight")
-    p.add_argument("--steps", type=int, default=1024,
-                   help="starting step count of the straight path (the axis path is exact)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -1,4 +1,4 @@
-"""Telemetry CSV ingestion, min-max normalization, and persistence.
+"""Telemetry CSV ingestion and min-max normalization.
 
 CSV contract: first row is a header; an optional leading column named
 "ts" carries ISO 8601 UTC timestamps; every other column is real-valued
@@ -9,7 +9,6 @@ rejected with the offending location.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -141,26 +140,12 @@ class Normalizer:
         y = np.clip((x - self.lo) / safe, 0.0, 1.0)
         return np.where(span > 0, y, 0.5)
 
-    def invert(self, y) -> np.ndarray:
-        """Map normalized values back to raw units (for report readability)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.dims:
-            raise ShapeError(f"expected width {self.dims}, got {y.shape[-1]}")
-        return self.lo + y * (self.hi - self.lo)
-
     def to_dict(self) -> dict:
         return {"min": self.lo.tolist(), "max": self.hi.tolist(), "names": list(self.names)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
         return cls(np.array(d["min"]), np.array(d["max"]), list(d["names"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Normalizer":
-        return cls.from_dict(json.loads(s))
 
 
 def fit_normalizer(data: Dataset) -> Normalizer:

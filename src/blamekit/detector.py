@@ -15,7 +15,7 @@ import numpy as np
 
 from . import network
 from .dataio import Dataset, Normalizer, fit_normalizer
-from .errors import InputError, ShapeError
+from .errors import InputError, ParseError, ShapeError
 from .evaluation import rank_auc
 from .network import NetworkModel, TrainConfig
 
@@ -47,12 +47,6 @@ class Detector:
     def dims(self) -> int:
         return self.model.dims
 
-    def score(self, x_raw) -> float:
-        return network.forward(self.model, self.normalizer.apply(x_raw))
-
-    def score_batch(self, x_raw: np.ndarray) -> np.ndarray:
-        return network.forward_batch(self.model, self.normalizer.apply(np.atleast_2d(x_raw)))
-
     def score_normalized(self, x_norm: np.ndarray) -> np.ndarray:
         return network.forward_batch(self.model, np.atleast_2d(x_norm))
 
@@ -78,7 +72,11 @@ class Detector:
     @classmethod
     def load(cls, path) -> "Detector":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        try:
+            return cls.from_dict(d)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: not a detector artifact ({exc!r})") from None
 
 
 def sample_negatives(x_norm: np.ndarray, cfg: NegativeSamplingConfig) -> np.ndarray:

@@ -14,7 +14,7 @@ class InputError(BlamekitError):
 
 
 class ParseError(BlamekitError):
-    """Malformed telemetry file; message carries row/column location."""
+    """Malformed input file; names the file, and for telemetry the row/column."""
 
 
 class TrainingError(BlamekitError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import clustering
 from .detector import Detector
-from .errors import EmptyBaselineError, ShapeError
+from .errors import EmptyBaselineError, ParseError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -80,7 +80,11 @@ class ExemplarSet:
     @classmethod
     def load(cls, path) -> "ExemplarSet":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        try:
+            return cls.from_dict(d)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: not an exemplar-set artifact ({exc!r})") from None
 
 
 def select_baseline(

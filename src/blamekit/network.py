@@ -8,7 +8,6 @@ hand-rolled for this fixed architecture; no autodiff framework.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +94,6 @@ class NetworkModel:
         layers = [Layer(np.array(l["w"]), np.array(l["b"]), l["act"]) for l in d["layers"]]
         return cls(int(d["dims"]), layers, int(d.get("seed", 0)))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "NetworkModel":
-        return cls.from_dict(json.loads(s))
-
 
 @dataclass
 class TrainConfig:
@@ -118,6 +110,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("every hidden width must be >= 1")
 
 
 def init_network(dims: int, hidden: tuple[int, ...], seed: int, hidden_act: str = "tanh") -> NetworkModel:
@@ -174,13 +168,6 @@ def input_gradient_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     for layer, a in zip(reversed(model.layers), reversed(activations[1:])):
         delta = (delta * _act_deriv(a, layer.act)) @ layer.w.T
     return delta
-
-
-def input_gradient(model: NetworkModel, x) -> np.ndarray:
-    x = _check_input(model, x)
-    if x.ndim != 1:
-        raise ShapeError("input_gradient expects a single vector")
-    return input_gradient_batch(model, x[None, :])[0]
 
 
 def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:

@@ -55,7 +55,7 @@ def test_01_gradient_matches_finite_differences():
         model = network.init_network(dims, (int(rng.integers(3, 9)),),
                                      seed=int(rng.integers(1000)))
         x = rng.uniform(size=dims)
-        g = network.input_gradient(model, x)
+        g = network.input_gradient_batch(model, x[None])[0]
         for d in range(dims):
             lo, hi = x.copy(), x.copy()
             lo[d] -= h
@@ -275,10 +275,10 @@ def test_10_cli_determinism(tmp_path):
         (root / "input.csv").write_text(head)
         assert main(["explain", str(root / "detector.json"),
                      str(root / "exemplars.json"), str(root / "input.csv"),
-                     "--out", str(root / "expl.jsonl"), "--steps", "256"]) == 0
+                     "--out", str(root / "expl.jsonl")]) == 0
         assert main(["evaluate", str(root / "detector.json"),
                      str(root / "exemplars.json"), str(root / "test.csv"),
-                     "--out", str(root / "report.json"), "--steps", "128",
+                     "--out", str(root / "report.json"),
                      "--methods", "ig,surrogate", "--seed", "9"]) == 0
     same = [name for name in primary
             if (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()]

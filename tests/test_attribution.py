@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blamekit.attribution import (
+    START_STEPS,
     PathSpec,
     blame,
     check_desiderata,
@@ -128,9 +129,8 @@ class TestExactAxisPath:
         np.testing.assert_allclose(raw, expected, rtol=0, atol=1e-15)
 
     def test_explain_stops_at_first_pass(self, det16, ex16, anomalies16):
-        e = explain(det16, ex16, anomalies16[0].x, metric="L1",
-                    path=PathSpec("axis", 8))
-        assert e.path.steps == 8
+        e = explain(det16, ex16, anomalies16[0].x, metric="L1", path="axis")
+        assert e.path.steps == START_STEPS
         assert e.gap <= 1e-12
 
 
@@ -163,7 +163,8 @@ class TestExplain:
         assert single.beta[np.argmax(e.blame)] == 1.0
 
     def test_observation_equal_to_exemplar(self, det16, ex16):
-        raw_point = det16.normalizer.invert(ex16.points[0])
+        norm = det16.normalizer
+        raw_point = norm.lo + ex16.points[0] * (norm.hi - norm.lo)
         e = explain(det16, ex16, raw_point)
         np.testing.assert_array_equal(e.blame, np.zeros(det16.dims))
         assert e.gap == 0.0
@@ -174,8 +175,16 @@ class TestExplain:
         assert "non_anomalous" in e.flags
 
     def test_adaptive_steps_bound_gap(self, det16, ex16, anomalies16):
-        e = explain(det16, ex16, anomalies16[2].x, path=PathSpec("straight", 256))
+        e = explain(det16, ex16, anomalies16[2].x)
         assert e.gap <= 1e-3 or e.path.steps >= 2 ** 16
+
+    def test_straight_path_starts_small(self, det16, ex16, anomalies16):
+        # the doubling loop meets the tolerance from a small start, so
+        # the straight path needs no large user-set step count
+        for anom in anomalies16[:50]:
+            e = explain(det16, ex16, anom.x)
+            assert e.path.steps in (64, 128)
+            assert e.gap <= 1e-3
 
     def test_json_fields(self, det16, ex16, anomalies16):
         e = explain(det16, ex16, anomalies16[0].x)

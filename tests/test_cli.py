@@ -101,9 +101,21 @@ class TestExplainCommand:
             out = tmp_path / name
             assert main(["explain", str(pipeline / "detector.json"),
                          str(pipeline / "exemplars.json"), str(inp),
-                         "--out", str(out), "--steps", "64"]) == 0
+                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("artifact", ["detector.json", "exemplars.json"])
+    def test_wrong_artifact_exit_2(self, pipeline, tmp_path, capsys, artifact):
+        # the same file as both detector and exemplar set: one of the two is wrong
+        wrong = pipeline / artifact
+        out = tmp_path / "e.jsonl"
+        rc = main(["explain", str(wrong), str(wrong), str(small_input(pipeline, tmp_path)),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(wrong) in err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -113,7 +125,7 @@ class TestEvaluateCommand:
         rc = main(["evaluate", str(pipeline / "detector.json"),
                    str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
                    "--out", str(report), "--table", str(table),
-                   "--methods", "ig,surrogate", "--steps", "128", "--seed", "5"])
+                   "--methods", "ig,surrogate", "--seed", "5"])
         assert rc == 0
         data = json.loads(report.read_text())
         names = {r["method"] for r in data}
@@ -136,11 +148,10 @@ class TestBadNumericFlags:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
-    def test_explain_steps_zero(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "e.jsonl"
-        self.check(["explain", str(pipeline / "detector.json"),
-                    str(pipeline / "exemplars.json"), str(small_input(pipeline, tmp_path)),
-                    "--out", str(out), "--steps", "0"], out, capsys)
+    def test_train_hidden_zero(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
+                    "--hidden", "0"], out, capsys)
 
     def test_baseline_n_zero(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ex.json"

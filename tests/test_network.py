@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from blamekit.network import (
     TrainConfig,
     forward,
     init_network,
-    input_gradient,
     train,
 )
 
@@ -31,6 +32,10 @@ def finite_diff(model, x, h=1e-5):
         dn[d] -= h
         g[d] = (forward(model, up) - forward(model, dn)) / (2 * h)
     return g
+
+
+def input_gradient(model, x):
+    return network.input_gradient_batch(model, x[None])[0]
 
 
 class TestForward:
@@ -156,7 +161,7 @@ class TestTrain:
 class TestSerialization:
     def test_json_round_trip(self):
         model = init_network(3, (5, 4), seed=7)
-        clone = NetworkModel.from_json(model.to_json())
+        clone = NetworkModel.from_dict(json.loads(json.dumps(model.to_dict())))
         x = np.array([0.2, 0.8, 0.5])
         assert forward(model, x) == forward(clone, x)
         for la, lb in zip(model.layers, clone.layers):
