@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     det = Detector.load(args.detector)
-    data = load_telemetry(args.train_csv)
+    data = load_telemetry(args.train_csv, det.normalizer.names)
     seed = _fan_out(args.seed, "baseline")
     ex = select_baseline(
         det.normalizer.apply(data.values), det,
@@ -124,12 +124,12 @@ def cmd_baseline(args) -> int:
 def cmd_explain(args) -> int:
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
-    data = load_telemetry(args.input_csv)
+    data = load_telemetry(args.input_csv, det.normalizer.names)
+    # build every record first, so a row that fails leaves no partial file
+    lines = [explain(det, ex, x, metric=args.metric, path=args.path, timestamp=ts).to_json() + "\n"
+             for x, ts in zip(data.values, data.timestamps)]
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(len(data)):
-            e = explain(det, ex, data.values[i], metric=args.metric, path=args.path,
-                        timestamp=data.timestamps[i])
-            fh.write(e.to_json() + "\n")
+        fh.writelines(lines)
     _write_runlog(args.out, "explain", vars(args), {},
                   [args.detector, args.exemplars, args.input_csv])
     print(f"wrote {args.out} ({len(data)} explanations)")

@@ -2,13 +2,14 @@
 
 CSV contract: first row is a header; an optional leading column named
 "ts" carries ISO 8601 UTC timestamps; every other column is real-valued
-with '.' decimal separator. Rows with blanks or non-numeric cells are
-rejected with the offending location.
+with '.' decimal separator. Rows with blanks, non-numeric or non-finite
+(nan, inf) cells are rejected with the offending location.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -46,8 +47,8 @@ class Dataset:
         return len(self.values)
 
 
-def load_telemetry(path) -> Dataset:
-    """Parse a telemetry CSV into a Dataset."""
+def load_telemetry(path, expected: list[str] | None = None) -> Dataset:
+    """Parse a telemetry CSV into a Dataset, whose names must equal `expected` if given."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -56,6 +57,8 @@ def load_telemetry(path) -> Dataset:
             raise ParseError(f"{path}: empty file") from None
         has_ts = bool(header) and header[0] == "ts"
         names = header[1:] if has_ts else header
+        if expected is not None and names != expected:
+            raise ParseError(f"{path}: columns {names} do not match the expected {expected}")
         if len(set(names)) != len(names):
             raise ParseError(f"{path}: duplicate column headers")
         if not names:
@@ -79,9 +82,12 @@ def load_telemetry(path) -> Dataset:
             vals = []
             for col, cell in zip(names, cells):
                 try:
-                    vals.append(float(cell))
+                    v = float(cell)
                 except ValueError:
                     raise ParseError(f"{path}: row {lineno} column {col!r}: not a number: {cell!r}") from None
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}: row {lineno} column {col!r}: not finite: {cell!r}")
+                vals.append(v)
             rows.append(vals)
     return Dataset(names, np.array(rows, dtype=float).reshape(len(rows), len(names)), stamps)
 

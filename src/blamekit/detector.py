@@ -93,13 +93,12 @@ def fit_detector(
     data: Dataset,
     ns_cfg: NegativeSamplingConfig,
     train_cfg: TrainConfig,
-    holdout_fraction: float = 0.2,
 ) -> Detector:
     """Fit normalizer + negative-sampling classifier; report held-out AUC.
 
-    The AUC in the metadata separates held-out positives from fresh
-    negatives; with fewer than 5 rows the split is degenerate and the
-    metadata flags it.
+    The AUC in the metadata separates held-out positives (a fifth of the
+    rows) from fresh negatives; with fewer than 5 rows the split is
+    degenerate and the metadata flags it.
     """
     if len(data) == 0:
         raise InputError("cannot fit a detector on an empty dataset")
@@ -109,7 +108,7 @@ def fit_detector(
 
     rng = np.random.default_rng(train_cfg.seed)
     order = rng.permutation(len(x_all))
-    n_hold = int(np.floor(holdout_fraction * len(x_all)))
+    n_hold = int(np.floor(0.2 * len(x_all)))
     degenerate = n_hold == 0 or len(x_all) - n_hold == 0
     hold_idx, fit_idx = order[:n_hold], order[n_hold:]
     x_fit = x_all[fit_idx] if not degenerate else x_all

@@ -114,7 +114,7 @@ class TrainConfig:
             raise ValueError("every hidden width must be >= 1")
 
 
-def init_network(dims: int, hidden: tuple[int, ...], seed: int, hidden_act: str = "tanh") -> NetworkModel:
+def init_network(dims: int, hidden: tuple[int, ...], seed: int) -> NetworkModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     rng = np.random.default_rng(seed)
     widths = [dims, *hidden, 1]
@@ -124,7 +124,7 @@ def init_network(dims: int, hidden: tuple[int, ...], seed: int, hidden_act: str 
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         b = rng.uniform(-bound, bound, size=fan_out)
-        act = "logistic" if i == len(widths) - 2 else hidden_act
+        act = "logistic" if i == len(widths) - 2 else "tanh"
         layers.append(Layer(w, b, act))
     return NetworkModel(dims, layers, seed)
 

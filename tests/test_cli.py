@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from blamekit import cli
+from blamekit.attribution import explain
 from blamekit.cli import main
+from blamekit.errors import InputError
 
 # small but non-degenerate pipeline settings for CLI round trips
 BENCH_ARGS = ["--dims", "8", "--n-normal", "1200", "--n-test-normal", "40",
@@ -115,6 +119,70 @@ class TestExplainCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(wrong) in err
+        assert not out.exists()
+
+
+class TestBadInput:
+    """Bad input exits 2 with its location and leaves no output file."""
+
+    def rewrite(self, path, edit):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("\n".join(",".join(r) for r in edit(rows)) + "\n")
+        return path
+
+    def run(self, pipeline, command, inp, out):
+        if command == "train":
+            return main(["train", str(inp), "--out", str(out), "--epochs", "1"])
+        args = [str(pipeline / "detector.json")]
+        if command == "explain":
+            args.append(str(pipeline / "exemplars.json"))
+        return main([command, *args, str(inp), "--out", str(out)])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_non_finite_cell_located(self, pipeline, tmp_path, capsys, command, cell):
+        def poison(rows):
+            rows[4][2] = cell  # file row 5, third column
+            return rows
+        inp = self.rewrite(small_input(pipeline, tmp_path), poison)
+        out = tmp_path / "out"
+        assert self.run(pipeline, command, inp, out) == 2
+        name = inp.read_text().splitlines()[0].split(",")[2]
+        assert f"row 5 column {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explain_failure_leaves_no_output(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_on_row_5(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise InputError("bad row")
+            return explain(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "explain", failing_on_row_5)
+        out = tmp_path / "e.jsonl"
+        assert self.run(pipeline, "explain", small_input(pipeline, tmp_path), out) == 2
+        assert len(calls) == 4
+        assert not out.exists()
+        assert not Path(str(out) + ".runlog.json").exists()
+
+    @pytest.mark.parametrize("edit", ["renamed", "swapped"])
+    @pytest.mark.parametrize("command", ["baseline", "explain"])
+    def test_columns_must_match_detector(self, pipeline, tmp_path, capsys, command, edit):
+        def renamed(rows):
+            rows[0] = [f"x{i}" for i in range(len(rows[0]))]
+            return rows
+
+        def swapped(rows):
+            return [[r[1], r[0], *r[2:]] for r in rows]
+
+        inp = self.rewrite(small_input(pipeline, tmp_path), {"renamed": renamed,
+                                                            "swapped": swapped}[edit])
+        out = tmp_path / "out"
+        assert self.run(pipeline, command, inp, out) == 2
+        err = capsys.readouterr().err
+        assert "do not match the expected" in err and str(inp) in err
         assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blamekit.clustering import NOISE, dbscan
+from blamekit.clustering import BLOCK, NOISE, dbscan
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -60,13 +60,19 @@ class TestDbscan:
         scatter = rng.uniform(0.0, 3.0, size=(30, 2))
         pts = np.vstack([shared + [5.0, 5.0], *blobs, scatter])
         pts = pts[rng.permutation(len(pts))]
-        for eps, min_pts in ((0.43, 5), (0.08, 4), (0.2, 8)):
-            np.testing.assert_array_equal(dbscan(pts, eps, min_pts),
-                                          reference_dbscan(pts, eps, min_pts))
+        solid = np.vstack([rng.normal(c, 0.03, size=(rng.integers(5, 40), 3))
+                           for c in rng.uniform(0.0, 1.0, size=(3, 3))])
+        # empty, one row, n not a multiple of BLOCK, and a 3-D set; the last
+        # (eps, min_pts) setting leaves no core point
+        for p in (pts, pts[:0], pts[:1], pts[:BLOCK + 1], solid):
+            for eps, min_pts in ((0.43, 5), (0.08, 4), (0.2, 8), (0.08, 1000)):
+                np.testing.assert_array_equal(dbscan(p, eps, min_pts),
+                                              reference_dbscan(p, eps, min_pts))
 
     def test_dense_blob_queues_each_point_once(self):
-        # every point is a core point and a neighbor of every other; a queue
-        # that takes each neighbor of each core point holds n^2 entries
+        # every point is a core point and a neighbor of every other, so the
+        # n x n distance matrix would take 18 MB; the arrays of one call
+        # must stay O(BLOCK * n)
         pts = np.random.default_rng(0).uniform(0.0, 0.01, size=(1500, 2))
         tracemalloc.start()
         try:
