@@ -55,7 +55,7 @@ print(f"exemplars: {len(ex)} across {len(set(ex.clusters.tolist()))} clusters")
 #    the fault actually moved (beta marks the ground truth).
 # ---------------------------------------------------------------
 fault = next(t for t in test if t.anomalous)
-e = explain(det, ex, fault.x)
+e = explain(det, ex, fault.x[None])[0]  # explain takes a matrix of rows
 print(f"\nanomaly score: {e.score:.4f} (baseline scores {e.baseline_score:.4f})")
 print(f"completeness gap: {e.gap:.2e} at m={e.path.steps}")
 print("dim  blame   truth")

@@ -8,6 +8,8 @@ against it. We compare path-integrated gradients to a LIME-style
 weighted linear surrogate and rank them with a Mann-Whitney U test.
 """
 
+import numpy as np
+
 from blamekit import (
     BenchmarkConfig,
     NegativeSamplingConfig,
@@ -35,7 +37,8 @@ ex = select_baseline(det.normalizer.apply(train.values), det,
 
 
 def ig_method(x_raw):
-    return explain(det, ex, x_raw).blame
+    # each method maps the (N, D) matrix of raw faults to (N, D) blame
+    return np.array([e.blame for e in explain(det, ex, x_raw)])
 
 
 def surrogate_method(x_raw):

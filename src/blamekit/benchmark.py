@@ -77,7 +77,8 @@ class LabeledAnomaly:
         self.x = np.asarray(self.x, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
         if self.anomalous:
-            if not np.isclose(self.beta.sum(), 1.0):
+            # np.isclose's test written out: it costs ~20 us per call on a scalar
+            if not abs(self.beta.sum() - 1.0) <= 1e-8 + 1e-5:
                 raise ConfigError("anomalous rows need beta summing to 1")
         elif np.any(self.beta != 0):
             raise ConfigError("normal rows must have all-zero beta")
@@ -163,14 +164,17 @@ def save_benchmark(train: Dataset, test: list[LabeledAnomaly], train_path, test_
     save_telemetry(test_ds, test_path, extra_names=extra_names, extra_values=extra)
 
 
-def load_labeled(path) -> list[LabeledAnomaly]:
-    """Read a test CSV written by save_benchmark."""
+def load_labeled(path, expected: list[str] | None = None) -> list[LabeledAnomaly]:
+    """Read a test CSV written by save_benchmark, whose value columns (the
+    ones before 'label') must equal `expected` if given."""
     ds = load_telemetry(path)
     try:
         label_col = ds.names.index("label")
     except ValueError:
         raise ParseError(f"{path}: missing 'label' column") from None
     dim_names = ds.names[:label_col]
+    if expected is not None and dim_names != expected:
+        raise ParseError(f"{path}: columns {dim_names} do not match the expected {expected}")
     beta_cols = [f"beta_{n}" for n in dim_names]
     if ds.names[label_col + 1 :] != beta_cols:
         raise ParseError(f"{path}: beta columns must mirror the value columns")

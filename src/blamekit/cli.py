@@ -126,8 +126,8 @@ def cmd_explain(args) -> int:
     ex = ExemplarSet.load(args.exemplars)
     data = load_telemetry(args.input_csv, det.normalizer.names)
     # build every record first, so a row that fails leaves no partial file
-    lines = [explain(det, ex, x, metric=args.metric, path=args.path, timestamp=ts).to_json() + "\n"
-             for x, ts in zip(data.values, data.timestamps)]
+    lines = [e.to_json() + "\n" for e in explain(det, ex, data.values, metric=args.metric,
+                                                path=args.path, timestamps=data.timestamps)]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     _write_runlog(args.out, "explain", vars(args), {},
@@ -139,11 +139,12 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
-    test = bench.load_labeled(args.test_csv)
+    test = bench.load_labeled(args.test_csv, det.normalizer.names)
     sur_seed = _fan_out(args.seed, "surrogate")
 
     def ig_method(x_raw):
-        return explain(det, ex, x_raw, metric=args.metric, path=args.path).blame
+        return np.array([e.blame for e in explain(det, ex, x_raw, metric=args.metric,
+                                                  path=args.path)])
 
     def surrogate_method(x_raw):
         cfg = SurrogateConfig(samples=25 * det.dims, seed=sur_seed)

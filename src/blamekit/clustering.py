@@ -20,9 +20,15 @@ def _within(points, sq, rows, cols, eps):
     """Yield (block, mask) per BLOCK indices of `rows`: mask[k, j] marks points[block[k]]
     within eps of points[cols[j]]. `sq` holds the squared row norms of `points`."""
     other, other_sq = points[cols], sq[cols]
+    # every block reuses two buffers: fresh ~1 MB temporaries per block page-fault
+    # afresh whenever glibc has trimmed the heap top, which doubled a call's time
+    prod, d2 = np.empty((2, min(BLOCK, len(rows)), len(cols)))
     for start in range(0, len(rows), BLOCK):
         block = rows[start:start + BLOCK]
-        yield block, sq[block, None] + other_sq - 2.0 * (points[block] @ other.T) <= eps * eps
+        p, d = prod[:len(block)], d2[:len(block)]
+        np.matmul(points[block], other.T, out=p)
+        np.add(sq[block, None], other_sq, out=d)
+        yield block, np.subtract(d, np.multiply(p, 2.0, out=p), out=d) <= eps * eps
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:

@@ -21,13 +21,14 @@ from .errors import InputError, ShapeError
 EXACT_ENUM_LIMIT = 500_000  # max arrangements for exact enumeration
 
 
-def attribution_error(b: np.ndarray, beta: np.ndarray) -> float:
-    """Mean absolute difference between blame and ground truth."""
+def attribution_error(b: np.ndarray, beta: np.ndarray) -> float | np.ndarray:
+    """Mean absolute difference between blame and ground truth: a float
+    for two vectors, one error per row for two (N, D) matrices."""
     b = np.asarray(b, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if b.shape != beta.shape or b.ndim != 1:
+    if b.shape != beta.shape or b.ndim not in (1, 2):
         raise ShapeError(f"width mismatch: {b.shape} vs {beta.shape}")
-    return float(np.sum(np.abs(b - beta)) / len(b))
+    return np.sum(np.abs(b - beta), axis=-1) / b.shape[-1]
 
 
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,23 +118,24 @@ class MethodReport:
 def evaluate_methods(test: list[LabeledAnomaly], methods: dict) -> list[MethodReport]:
     """Score each attribution method on every labeled anomalous row.
 
-    `methods` maps a name to a callable taking a raw observation and
-    returning a blame vector. A method that raises on any row gets its
-    whole column marked failed with the diagnostic; the others continue.
-    Normal rows never enter error aggregation.
+    `methods` maps a name to a callable that takes the (N, D) matrix of
+    raw anomalous observations and returns their (N, D) blame matrix. A
+    method that raises, or returns another shape, gets its whole column
+    marked failed with the diagnostic; the others continue. Normal rows
+    never enter error aggregation.
     """
     anomalous = [t for t in test if t.anomalous]
     if len(anomalous) < 30:
         raise InputError(f"need at least 30 anomalous rows, got {len(anomalous)}")
+    x = np.array([t.x for t in anomalous])
+    beta = np.array([t.beta for t in anomalous])
 
     reports = []
     for name, fn in methods.items():
         report = MethodReport(name)
         try:
-            for row in anomalous:
-                report.errors.append(attribution_error(fn(row.x), row.beta))
+            report.errors = attribution_error(fn(x), beta).tolist()
         except Exception as exc:  # noqa: BLE001 - column-level diagnostic
-            report.errors = []
             report.failed = f"{type(exc).__name__}: {exc}"
         reports.append(report)
 

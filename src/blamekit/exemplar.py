@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clustering
+from . import clustering, network
 from .detector import Detector
 from .errors import EmptyBaselineError, ParseError, ShapeError
 
@@ -24,16 +24,17 @@ METRICS = ("L1", "L2")
 
 
 def distances(x, points, metric: str = "L2") -> np.ndarray:
-    """L1 or L2 distance from vector x to each row of points."""
+    """L1 or L2 distance from x to each row of points: (K,) for a vector
+    x, (N, K) for a matrix of N rows."""
     x = np.asarray(x, dtype=float)
     points = np.asarray(points, dtype=float)
-    if x.shape != (points.shape[1],):
+    if x.ndim not in (1, 2) or x.shape[-1] != points.shape[1]:
         raise ShapeError(f"expected width {points.shape[1]}, got {x.shape}")
-    diff = points - x
+    diff = points - x[..., None, :]
     if metric == "L1":
-        return np.sum(np.abs(diff), axis=1)
+        return np.sum(np.abs(diff), axis=-1)
     if metric == "L2":
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return np.sqrt(np.sum(diff * diff, axis=-1))
     raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
@@ -178,9 +179,20 @@ def naive_baseline(x_norm: np.ndarray, det: Detector, size: int) -> ExemplarSet:
 
 
 def nearest_exemplar(x: np.ndarray, ex: ExemplarSet, metric: str = "L2"):
-    """Closest exemplar to x under the metric; ties break to lowest index."""
+    """Closest exemplar to each row of the (N, D) matrix x under the
+    metric; ties break to the lowest index. Returns the (N, D) exemplars
+    and their (N,) distances. The (N, K) distance matrix is computed in
+    blocks of at most network.ROWS row-exemplar pairs."""
     if len(ex) == 0:
         raise EmptyBaselineError("exemplar set is empty")
-    dists = distances(x, ex.points, metric)
-    best = int(np.argmin(dists))  # argmin returns the first minimum
-    return ex.points[best].copy(), float(dists[best])
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"expected a (N, D) matrix of rows, got shape {x.shape}")
+    best = np.empty(len(x), dtype=int)
+    dist = np.empty(len(x))
+    per = max(1, network.ROWS // len(ex))
+    for lo in range(0, len(x), per):
+        d = distances(x[lo:lo + per], ex.points, metric)
+        best[lo:lo + per] = np.argmin(d, axis=1)  # argmin returns the first minimum
+        dist[lo:lo + per] = d.min(axis=1)
+    return ex.points[best], dist

@@ -16,6 +16,11 @@ from .errors import InputError, NumericError, ShapeError, TrainingError
 
 ACTIVATIONS = ("logistic", "tanh")
 
+# rows per batched call over a file (IG path points, surrogate samples,
+# row-exemplar pairs): at widths up to 24 every array stays under glibc's
+# 128 KiB mmap threshold; 4 096-row calls page-faulted and ran ~2x slower
+ROWS = 512
+
 
 def logistic(z):
     # clip keeps exp() from overflowing; saturated values round to 0/1-eps anyway

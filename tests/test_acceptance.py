@@ -78,7 +78,7 @@ def test_02_ig_matches_analytic_path_integral():
         b = float(rng.normal())
         det = unit_detector(w, b)
         x, xb = rng.uniform(size=dims), rng.uniform(size=dims)
-        raw = integrated_gradients(det, x, xb, PathSpec("straight", 2048))
+        raw = integrated_gradients(det, x[None], xb[None], PathSpec("straight", 2048))[0]
         exact = logistic_unit_ig_closed_form(w, b, x, xb)
         worst = max(worst, float(np.max(np.abs(raw - exact))))
     ok = worst <= 1e-6 and time.time() - t0 < 10
@@ -99,8 +99,8 @@ def test_03_completeness(det16, ex16, anomalies16):
         gaps = {}
         m = 256
         while True:
-            raw = integrated_gradients(det16, x, xb, PathSpec("straight", m))
-            gaps[m] = completeness_gap(det16, x, xb, raw)
+            raw = integrated_gradients(det16, x[None], xb[None], PathSpec("straight", m))
+            gaps[m] = completeness_gap(det16, x[None], xb[None], raw)[0]
             if gaps[m] <= 1e-3 or m >= 2 ** 16:
                 break
             m *= 2
@@ -123,8 +123,8 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
     diffs = {d: [] for d in deltas}
     for i in picks:
         x = det16.normalizer.apply(anomalies16[i].x)
-        c, _ = nearest_exemplar(x, ex16)
-        base = integrated_gradients(det16, x, c, PathSpec("straight", 2048))
+        c = nearest_exemplar(x[None], ex16)[0][0]
+        base = integrated_gradients(det16, x[None], c[None], PathSpec("straight", 2048))[0]
         # one shared direction per anomaly, kept high-confidence at all radii
         for _ in range(100):
             u = rng.normal(size=len(c))
@@ -132,8 +132,8 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
             if all(network.forward(det16.model, c + d * u) > 0.9 for d in deltas):
                 break
         for d in deltas:
-            other = integrated_gradients(det16, x, c + d * u,
-                                         PathSpec("straight", 2048))
+            other = integrated_gradients(det16, x[None], (c + d * u)[None],
+                                         PathSpec("straight", 2048))[0]
             diffs[d].append(float(np.max(np.abs(base - other))))
     means = [float(np.mean(diffs[d])) for d in deltas]
     ok = (means[0] > means[1] > means[2] and means[2] <= 1e-3
@@ -145,10 +145,11 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
 def test_05_proportionality(det16, ex16, anomalies16):
     t0 = time.time()
     agree = tried = 0
-    for anom in anomalies16[:50]:
-        e = explain(det16, ex16, anom.x)
-        dense = blame(integrated_gradients(det16, e.x, e.baseline,
-                                           PathSpec("straight", 16384)))
+    es = explain(det16, ex16, np.array([a.x for a in anomalies16[:50]]))
+    denses = blame(integrated_gradients(det16, np.array([e.x for e in es]),
+                                        np.array([e.baseline for e in es]),
+                                        PathSpec("straight", 16384)))
+    for e, dense in zip(es, denses):
         for u in range(det16.dims):
             for v in range(u + 1, det16.dims):
                 if abs(dense[u] - dense[v]) < 1e-6:
@@ -208,7 +209,7 @@ def test_08_attribution_quality(det16, ex16, anomalies16):
     assert len(anomalies16) >= 200
 
     def ig_method(x_raw):
-        return explain(det16, ex16, x_raw).blame
+        return np.array([e.blame for e in explain(det16, ex16, x_raw)])
 
     def surrogate_method(x_raw):
         cfg = SurrogateConfig(samples=25 * det16.dims, seed=6)
@@ -219,8 +220,8 @@ def test_08_attribution_quality(det16, ex16, anomalies16):
     p = reports["ig"].p_values["surrogate"]
 
     singles = [a for a in anomalies16 if np.isclose(a.beta.max(), 1.0)]
-    hits = sum(a.beta[np.argmax(explain(det16, ex16, a.x).blame)] == 1.0
-               for a in singles)
+    hits = sum(a.beta[np.argmax(e.blame)] == 1.0
+               for a, e in zip(singles, explain(det16, ex16, np.array([a.x for a in singles]))))
     hit_rate = hits / len(singles)
     ok = (reports["ig"].mean < reports["surrogate"].mean and p < 0.05
           and hit_rate >= 0.90 and time.time() - t0 < 600)

@@ -97,6 +97,11 @@ class TestExplainCommand:
         assert any("non_anomalous" in r["flags"] for r in records)
         assert all(len(r["blame"]) == 8 for r in records)
         assert all(sum(r["blame"]) <= 1.0 + 1e-9 for r in records)
+        # a header-only input explains no rows and writes an empty file
+        empty = small_input(pipeline, tmp_path, n=0)
+        assert main(["explain", str(pipeline / "detector.json"),
+                     str(pipeline / "exemplars.json"), str(empty), "--out", str(out)]) == 0
+        assert out.read_text() == ""
 
     def test_deterministic(self, pipeline, tmp_path):
         inp = small_input(pipeline, tmp_path)
@@ -134,7 +139,7 @@ class TestBadInput:
         if command == "train":
             return main(["train", str(inp), "--out", str(out), "--epochs", "1"])
         args = [str(pipeline / "detector.json")]
-        if command == "explain":
+        if command in ("explain", "evaluate"):
             args.append(str(pipeline / "exemplars.json"))
         return main([command, *args, str(inp), "--out", str(out)])
 
@@ -154,35 +159,51 @@ class TestBadInput:
     def test_explain_failure_leaves_no_output(self, pipeline, tmp_path, monkeypatch):
         calls = []
 
-        def failing_on_row_5(*args, **kwargs):
+        def failing_after_the_rows(*args, **kwargs):
+            # one call explains the whole file; it fails after doing the work
             calls.append(1)
-            if len(calls) == 4:
-                raise InputError("bad row")
-            return explain(*args, **kwargs)
+            explain(*args, **kwargs)
+            raise InputError("bad row")
 
-        monkeypatch.setattr(cli, "explain", failing_on_row_5)
+        monkeypatch.setattr(cli, "explain", failing_after_the_rows)
         out = tmp_path / "e.jsonl"
         assert self.run(pipeline, "explain", small_input(pipeline, tmp_path), out) == 2
-        assert len(calls) == 4
+        assert len(calls) == 1
         assert not out.exists()
         assert not Path(str(out) + ".runlog.json").exists()
 
     @pytest.mark.parametrize("edit", ["renamed", "swapped"])
-    @pytest.mark.parametrize("command", ["baseline", "explain"])
+    @pytest.mark.parametrize("command", ["baseline", "explain", "evaluate"])
     def test_columns_must_match_detector(self, pipeline, tmp_path, capsys, command, edit):
+        # evaluate's beta_ columns follow the edit, so they still mirror
+        # the value columns and only the detector's names can catch it
         def renamed(rows):
-            rows[0] = [f"x{i}" for i in range(len(rows[0]))]
+            rows[0] = [c.replace("dim_", "x_") for c in rows[0]]
             return rows
 
         def swapped(rows):
-            return [[r[1], r[0], *r[2:]] for r in rows]
+            cols = [(rows[0].index(a), rows[0].index(b))
+                    for a, b in (("dim_0", "dim_1"), ("beta_dim_0", "beta_dim_1"))
+                    if a in rows[0]]
+            for r in rows:
+                for i, j in cols:
+                    r[i], r[j] = r[j], r[i]
+            return rows
 
-        inp = self.rewrite(small_input(pipeline, tmp_path), {"renamed": renamed,
-                                                            "swapped": swapped}[edit])
+        if command == "evaluate":
+            inp = tmp_path / "test.csv"
+            inp.write_text((pipeline / "test.csv").read_text())
+        else:
+            inp = small_input(pipeline, tmp_path)
+        inp = self.rewrite(inp, {"renamed": renamed, "swapped": swapped}[edit])
         out = tmp_path / "out"
         assert self.run(pipeline, command, inp, out) == 2
         err = capsys.readouterr().err
         assert "do not match the expected" in err and str(inp) in err
+        expected = [f"dim_{d}" for d in range(8)]
+        assert str(expected) in err
+        assert str({"renamed": [f"x_{d}" for d in range(8)],
+                    "swapped": ["dim_1", "dim_0", *expected[2:]]}[edit]) in err
         assert not out.exists()
 
 

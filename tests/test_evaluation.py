@@ -162,14 +162,14 @@ class TestEvaluateMethods:
 
     def test_single_method(self):
         test = self.fake_test_set(d=16)
-        reports = evaluate_methods(test, {"uniform": lambda x: np.full(16, 1.0 / 16)})
+        reports = evaluate_methods(test, {"uniform": lambda x: np.full(x.shape, 1.0 / 16)})
         assert len(reports) == 1
         assert reports[0].p_values == {}
         assert len(reports[0].errors) == 40
 
     def test_mean_std_consistency(self):
         test = self.fake_test_set(d=16)
-        reports = evaluate_methods(test, {"uniform": lambda x: np.full(16, 1.0 / 16)})
+        reports = evaluate_methods(test, {"uniform": lambda x: np.full(x.shape, 1.0 / 16)})
         r = reports[0]
         assert r.mean == pytest.approx(np.mean(r.errors), abs=1e-12)
         assert r.std == pytest.approx(np.std(r.errors), abs=1e-12)
@@ -180,19 +180,22 @@ class TestEvaluateMethods:
 
         test = self.fake_test_set(d=16)
         reports = evaluate_methods(test, {
-            "uniform": lambda x: np.full(16, 1.0 / 16),
+            "uniform": lambda x: np.full(x.shape, 1.0 / 16),
             "broken": broken,
+            "one_row": lambda x: np.full(16, 1.0 / 16),  # not one blame row per input row
         })
         by_name = {r.name: r for r in reports}
         assert by_name["broken"].failed is not None
         assert "boom" in by_name["broken"].failed
+        assert by_name["one_row"].failed.startswith("ShapeError")
+        assert by_name["one_row"].errors == []
         assert len(by_name["uniform"].errors) == 40
         assert by_name["uniform"].p_values == {}
 
     def test_too_few_anomalies_rejected(self):
         with pytest.raises(InputError):
             evaluate_methods(self.fake_test_set(n=10, d=16),
-                             {"uniform": lambda x: np.full(16, 1.0 / 16)})
+                             {"uniform": lambda x: np.full(x.shape, 1.0 / 16)})
 
     def test_table_formatting(self):
         reports = [MethodReport("a", [0.1, 0.2, 0.3]), MethodReport("b", [0.4, 0.5, 0.6])]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blamekit import network
 from blamekit.dataio import Normalizer
 from blamekit.detector import Detector
 from blamekit.errors import EmptyBaselineError, ShapeError
@@ -53,6 +54,9 @@ class TestDissimilarity:
         np.testing.assert_array_equal(distances(np.zeros(2), pts, "L1"), [0.0, 7.0, 2.0])
         np.testing.assert_allclose(distances(np.zeros(2), pts, "L2"),
                                    [0.0, 5.0, np.sqrt(2.0)], rtol=1e-15)
+        # a matrix of rows gets one row of distances per row
+        np.testing.assert_array_equal(distances(np.array([[0.0, 0.0], [3.0, 4.0]]), pts, "L1"),
+                                      [[0.0, 7.0, 2.0], [7.0, 0.0, 7.0]])
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
@@ -142,42 +146,48 @@ class TestNearestExemplar:
 
     def test_basic(self):
         ex = self.two_point_set([[0.0, 0.0], [10.0, 10.0]])
-        p, d = nearest_exemplar(np.array([1.0, 1.0]), ex, "L2")
-        np.testing.assert_array_equal(p, [0.0, 0.0])
-        assert d == pytest.approx(np.sqrt(2))
+        p, d = nearest_exemplar(np.array([[1.0, 1.0]]), ex, "L2")
+        np.testing.assert_array_equal(p, [[0.0, 0.0]])
+        assert d[0] == pytest.approx(np.sqrt(2))
 
     def test_metric_changes_winner(self):
         ex = self.two_point_set([[3.0, 3.0], [0.0, 5.0]])
-        x = np.zeros(2)
+        x = np.zeros((1, 2))
         p2, d2 = nearest_exemplar(x, ex, "L2")
-        np.testing.assert_array_equal(p2, [3.0, 3.0])
-        assert d2 == pytest.approx(np.sqrt(18))
+        np.testing.assert_array_equal(p2, [[3.0, 3.0]])
+        assert d2[0] == pytest.approx(np.sqrt(18))
         p1, d1 = nearest_exemplar(x, ex, "L1")
-        np.testing.assert_array_equal(p1, [0.0, 5.0])
-        assert d1 == 5.0
+        np.testing.assert_array_equal(p1, [[0.0, 5.0]])
+        assert d1[0] == 5.0
 
     def test_exact_match(self):
         ex = self.two_point_set([[1.0, 2.0], [3.0, 4.0]])
-        p, d = nearest_exemplar(np.array([3.0, 4.0]), ex, "L2")
-        np.testing.assert_array_equal(p, [3.0, 4.0])
-        assert d == 0.0
+        p, d = nearest_exemplar(np.array([[3.0, 4.0]]), ex, "L2")
+        np.testing.assert_array_equal(p, [[3.0, 4.0]])
+        assert d[0] == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
         ex = self.two_point_set([[1.0, 0.0], [-1.0, 0.0]])
-        p, _ = nearest_exemplar(np.zeros(2), ex, "L2")
-        np.testing.assert_array_equal(p, [1.0, 0.0])
+        # every row is equidistant from both exemplars
+        x = np.zeros((3, 2))
+        x[:, 1] = [0.0, 5.0, -2.0]
+        p, _ = nearest_exemplar(x, ex, "L2")
+        np.testing.assert_array_equal(p, [[1.0, 0.0]] * 3)
 
     def test_is_global_minimum(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(size=(20, 3))
         ex = ExemplarSet(pts, np.zeros(20, dtype=int), np.ones(20))
-        x = rng.uniform(size=3)
+        # more rows than one block of network.ROWS row-exemplar pairs
+        x = rng.uniform(size=(2 * network.ROWS // len(pts) + 7, 3))
         for m, order in (("L1", 1), ("L2", 2)):
-            _, d = nearest_exemplar(x, ex, m)
-            oracle = [np.linalg.norm(x - p, ord=order) for p in pts]
-            assert d == pytest.approx(min(oracle), rel=1e-12)
+            p, d = nearest_exemplar(x, ex, m)
+            for xi, pi, di in zip(x, p, d):
+                oracle = [np.linalg.norm(xi - q, ord=order) for q in pts]
+                assert di == pytest.approx(min(oracle), rel=1e-12)
+                np.testing.assert_array_equal(pi, pts[int(np.argmin(oracle))])
 
     def test_empty_set(self):
         ex = ExemplarSet(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0))
         with pytest.raises(EmptyBaselineError):
-            nearest_exemplar(np.zeros(2), ex)
+            nearest_exemplar(np.zeros((1, 2)), ex)

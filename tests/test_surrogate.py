@@ -13,7 +13,7 @@ class TestSurrogate:
         w = rng.normal(size=4)
         det = unit_detector(w)
         x = rng.uniform(size=4)
-        coef = surrogate_coefficients(det, x, SurrogateConfig(samples=400, sigma=0.05, seed=1))
+        coef = surrogate_coefficients(det, x[None], SurrogateConfig(samples=400, sigma=0.05, seed=1))[0]
         # local slope of logistic(w.x) is sigma'(w.x) * w, colinear with w
         cos = coef @ w / (np.linalg.norm(coef) * np.linalg.norm(w))
         assert cos >= 0.99
@@ -23,23 +23,23 @@ class TestSurrogate:
         w = rng.normal(size=3)
         det = unit_detector(w)
         x = rng.uniform(size=3)
-        b = surrogate_attribution(det, x, SurrogateConfig(samples=300, sigma=0.05, seed=3))
+        b = surrogate_attribution(det, x[None], SurrogateConfig(samples=300, sigma=0.05, seed=3))[0]
         expected = blame(np.abs(w))
         np.testing.assert_allclose(b, expected, atol=0.05)
 
     def test_sample_floor(self):
         det = unit_detector(np.ones(5))
         with pytest.raises(InputError):
-            surrogate_attribution(det, np.full(5, 0.5), SurrogateConfig(samples=49, seed=0))
+            surrogate_attribution(det, np.full((1, 5), 0.5), SurrogateConfig(samples=49, seed=0))
 
     def test_deterministic(self):
         det = unit_detector(np.array([1.0, -2.0]))
-        x = np.array([0.3, 0.7])
+        x = np.array([[0.3, 0.7]])
         cfg = SurrogateConfig(samples=100, seed=9)
         np.testing.assert_array_equal(surrogate_attribution(det, x, cfg),
                                       surrogate_attribution(det, x, cfg))
 
     def test_codomain(self):
         det = unit_detector(np.array([2.0, -1.0, 0.5]))
-        b = surrogate_attribution(det, np.full(3, 0.4), SurrogateConfig(samples=120, seed=4))
+        b = surrogate_attribution(det, np.full((1, 3), 0.4), SurrogateConfig(samples=120, seed=4))
         assert np.all(b >= 0.0) and b.sum() <= 1.0 + 1e-12
