@@ -22,9 +22,9 @@ from blamekit import (
     select_baseline,
 )
 
-# two modes with a 9:1 weight imbalance
+# two modes with a 19:1 weight imbalance
 modes = [
-    Mode(np.array([0.25 + 0.1 * (d % 2) for d in range(8)]), 0.03, 9.0),
+    Mode(np.array([0.25 + 0.1 * (d % 2) for d in range(8)]), 0.03, 19.0),
     Mode(np.array([0.65 + 0.1 * ((d + 1) % 2) for d in range(8)]), 0.03, 1.0),
 ]
 cfg = BenchmarkConfig(dims=8, modes=modes, n_normal=4000, n_test_normal=10,

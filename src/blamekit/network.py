@@ -21,10 +21,14 @@ ACTIVATIONS = ("logistic", "tanh")
 # 128 KiB mmap threshold; 4 096-row calls page-faulted and ran ~2x slower
 ROWS = 512
 
+# products go through np.dot, not @: bit-identical here, with less per-call
+# overhead, and the output layer's (N, 1)·(1, H) product is ~3x faster
+
 
 def logistic(z):
-    # clip keeps exp() from overflowing; saturated values round to 0/1-eps anyway
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    # the lower clamp keeps exp() from overflowing; above 500 exp(-z) is far
+    # below 1's rounding, so no upper clamp is needed to get exactly 1.0
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -500.0)))
 
 
 def _act(z, tag):
@@ -147,7 +151,7 @@ def _activations(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
     """Every layer's output for a (N, D) batch, the input first."""
     acts = [x]
     for layer in model.layers:
-        acts.append(_act(acts[-1] @ layer.w + layer.b, layer.act))
+        acts.append(_act(np.dot(acts[-1], layer.w) + layer.b, layer.act))
     return acts
 
 
@@ -171,7 +175,7 @@ def input_gradient_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     # backprop dF w.r.t. inputs only (no parameter gradients needed here)
     delta = np.ones((x.shape[0], 1))
     for layer, a in zip(reversed(model.layers), reversed(activations[1:])):
-        delta = (delta * _act_deriv(a, layer.act)) @ layer.w.T
+        delta = np.dot(delta * _act_deriv(a, layer.act), layer.w.T)
     return delta
 
 
@@ -181,18 +185,22 @@ def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _sgd_step(model: NetworkModel, xb: np.ndarray, yb: np.ndarray, lr: float) -> None:
+    """One in-place SGD step on the batch's mean binary cross-entropy."""
+    layers = model.layers
     activations = _activations(model, xb)
-    # logistic output + BCE: output delta simplifies to (p - y)
-    delta = (activations[-1][:, 0] - yb)[:, None] / len(yb)
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        a_in = activations[i]
-        gw = a_in.T @ delta
+    # logistic output + BCE: the output delta is (p - y) / n; folding lr in
+    # here scales every gradient below, so no update needs its own lr product
+    delta = (activations[-1] - yb[:, None]) * (lr / len(yb))
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        gw = np.dot(activations[i].T, delta)
         gb = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ layer.w.T) * _act_deriv(activations[i], layer.act)
-        layer.w -= lr * gw
-        layer.b -= lr * gb
+            # activations[i] is the output of layers[i - 1]: the derivative
+            # is that layer's activation's, not this one's
+            delta = np.dot(delta, layer.w.T) * _act_deriv(activations[i], layers[i - 1].act)
+        layer.w -= gw
+        layer.b -= gb
 
 
 def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NetworkModel:
@@ -211,11 +219,18 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
 
     out = model.copy()
     rng = np.random.default_rng(cfg.seed)
+    bs, lr = cfg.batch_size, cfg.learning_rate
+    # gather whole batches about ROWS rows at a time and step over views of
+    # them: the batches of per-step gathers at a fraction of the calls, and
+    # no permuted copy of the whole matrix above the mmap threshold
+    chunk = bs * max(1, ROWS // bs)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
-        for start in range(0, len(x), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _sgd_step(out, x[idx], y[idx], cfg.learning_rate)
+        for start in range(0, len(x), chunk):
+            idx = order[start : start + chunk]
+            xc, yc = x[idx], y[idx]
+            for s in range(0, len(idx), bs):
+                _sgd_step(out, xc[s : s + bs], yc[s : s + bs], lr)
         # a NaN or inf parameter is what makes the loss non-finite; checking
         # the parameters costs O(weights), not a pass over every row
         if not all(np.all(np.isfinite(l.w)) and np.all(np.isfinite(l.b))

@@ -20,3 +20,13 @@ def logistic_unit_ig_closed_form(w, b, x, x_base):
     if s1 == s0:
         return (x_base - x) * w * sig(s0) * (1 - sig(s0))
     return (x_base - x) * w * (sig(s1) - sig(s0)) / (s1 - s0)
+
+
+def steepened(det, factor):
+    """A copy of det with its first layer's weights and biases scaled by
+    factor: every hidden unit's transition is sharper, so the midpoint rule
+    needs more straight-path steps to meet the gap tolerance."""
+    model = det.model.copy()
+    model.layers[0].w *= factor
+    model.layers[0].b *= factor
+    return Detector(model, det.normalizer, det.meta)

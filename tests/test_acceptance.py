@@ -168,10 +168,10 @@ def test_06_baseline_selection_contract(det8, ex8):
     per_cluster_ok = np.all((counts >= 1) & (counts <= 5))
     scores_ok = np.all(ex8.scores > 0.9)
 
-    # unbalanced 9:1 modes: naive top-score picks crowd into the dense
+    # unbalanced 19:1 modes: naive top-score picks crowd into the dense
     # mode, cluster-stratified picks still cover both
     modes = [
-        Mode(np.array([0.25 + 0.1 * (d % 2) for d in range(8)]), 0.03, 9.0),
+        Mode(np.array([0.25 + 0.1 * (d % 2) for d in range(8)]), 0.03, 19.0),
         Mode(np.array([0.65 + 0.1 * ((d + 1) % 2) for d in range(8)]), 0.03, 1.0),
     ]
     cfg = BenchmarkConfig(dims=8, modes=modes, n_normal=4000, n_test_normal=10,

@@ -1,12 +1,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blamekit import cli
 from blamekit.attribution import explain
+from blamekit.benchmark import default_modes
 from blamekit.cli import main
+from blamekit.detector import Detector
 from blamekit.errors import InputError
+from blamekit.exemplar import ExemplarSet
 
 # small but non-degenerate pipeline settings for CLI round trips
 BENCH_ARGS = ["--dims", "8", "--n-normal", "1200", "--n-test-normal", "40",
@@ -75,6 +79,23 @@ class TestBaselineCommand:
         assert main(["baseline", str(pipeline / "detector.json"),
                      str(pipeline / "train.csv"), "--out", str(out), "--seed", "3"]) == 0
         assert out.read_bytes() == (pipeline / "exemplars.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_default_flags_cover_both_modes(tmp_path, seed):
+    # every flag at its CLI default: the detector must score the sparse
+    # mode high enough that the exemplar set draws from it too
+    train_csv, det, ex = tmp_path / "train.csv", tmp_path / "det.json", tmp_path / "ex.json"
+    assert main(["benchmark", "--out-dir", str(tmp_path), "--seed", str(seed)]) == 0
+    assert main(["train", str(train_csv), "--out", str(det), "--seed", str(seed)]) == 0
+    assert main(["baseline", str(det), str(train_csv), "--out", str(ex),
+                 "--seed", str(seed)]) == 0
+    detector = Detector.load(det)
+    assert detector.meta["auc"] >= 0.95
+    centers = np.stack([detector.normalizer.apply(m.center) for m in default_modes(8)])
+    points = ExemplarSet.load(ex).points
+    nearest = np.argmin(np.linalg.norm(points[:, None] - centers[None], axis=2), axis=1)
+    assert set(nearest.tolist()) == {0, 1}
 
 
 def small_input(pipeline, tmp_path, n=12):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestForward:
         model = init_network(4, (8,), seed=9)
         x = np.array([0.1, 0.9, 0.4, 0.2])
         assert forward(model, x) == forward(model, x)
+
+    def test_logistic_matches_clipped_form_bitwise(self):
+        # one-sided clamp: above 500, 1 + exp(-z) rounds to exactly 1.0
+        z = np.concatenate([np.linspace(-800.0, 800.0, 6401),
+                            [-np.inf, -1e3, -500.0, 500.0, 1e3, np.inf, -0.0, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = network.logistic(z)
+        assert np.array_equal(got, 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
 
     def test_score_in_open_interval(self):
         model = init_network(4, (8,), seed=9)
@@ -156,6 +166,97 @@ class TestTrain:
             model = train(model, x, y, cfg)
             losses.append(network.mean_bce(model, x, y))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def with_hidden_acts(model, acts):
+    for layer, act in zip(model.layers, acts):
+        layer.act = act
+    return model
+
+
+HIDDEN_CASES = {"tanh": ((5,), ("tanh",)),
+                "logistic": ((5,), ("logistic",)),
+                "two-layer": ((5, 4), ("tanh", "logistic"))}
+
+
+class TestParameterGradient:
+    @pytest.mark.parametrize("case", HIDDEN_CASES)
+    def test_sgd_update_matches_finite_differences(self, case):
+        # one step moves each parameter by -lr * dL/dparam, L = mean_bce
+        hidden, acts = HIDDEN_CASES[case]
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 2, size=(9, 3))
+        y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+        model = with_hidden_acts(init_network(3, hidden, seed=4), acts)
+        lr, h = 1e-3, 1e-6
+        stepped = model.copy()
+        network._sgd_step(stepped, x, y, lr)
+        for before, after in zip(model.layers, stepped.layers):
+            for name in ("w", "b"):
+                param = getattr(before, name)
+                grad = (param - getattr(after, name)) / lr
+                fd = np.zeros_like(param)
+                for k in np.ndindex(param.shape):
+                    saved = param[k]
+                    param[k] = saved + h
+                    up = network.mean_bce(model, x, y)
+                    param[k] = saved - h
+                    dn = network.mean_bce(model, x, y)
+                    param[k] = saved
+                    fd[k] = (up - dn) / (2 * h)
+                assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def reference_train(model, x, y, cfg):
+    """Plain mini-batch SGD: a gather per step, the clipped logistic, an
+    lr product per update, each hidden delta through the derivative of
+    the activation that produced it."""
+    model = model.copy()
+
+    def act(z, tag):
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))) if tag == "logistic" else np.tanh(z)
+
+    def deriv(a, tag):
+        return a * (1.0 - a) if tag == "logistic" else 1.0 - a * a
+
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = x[idx], y[idx]
+            acts = [xb]
+            for layer in model.layers:
+                acts.append(act(acts[-1] @ layer.w + layer.b, layer.act))
+            delta = (acts[-1][:, 0] - yb)[:, None] / len(yb)
+            for i in range(len(model.layers) - 1, -1, -1):
+                layer = model.layers[i]
+                gw, gb = acts[i].T @ delta, delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ layer.w.T) * deriv(acts[i], model.layers[i - 1].act)
+                layer.w -= cfg.learning_rate * gw
+                layer.b -= cfg.learning_rate * gb
+    return model
+
+
+class TestTrainParity:
+    def test_matches_per_step_reference(self):
+        # n is a multiple of neither the batch size nor the gathered chunk
+        cfg = TrainConfig(0.3, 3, 48, (6, 5), seed=7)
+        n = 1100
+        assert n % cfg.batch_size and n % (cfg.batch_size * (network.ROWS // cfg.batch_size))
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 1, size=(n, 4))
+        y = (x[:, 0] + x[:, 1] > 1.0).astype(float)
+        x0, y0 = x.copy(), y.copy()
+        model = with_hidden_acts(init_network(4, cfg.hidden, seed=7), ("logistic", "tanh"))
+        fitted = train(model, x, y, cfg)
+        ref = reference_train(model, x, y, cfg)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        for got, want in zip(fitted.layers, ref.layers):
+            np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-12)
+        assert not np.array_equal(fitted.layers[0].w, model.layers[0].w)
 
 
 class TestSerialization:
