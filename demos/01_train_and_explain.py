@@ -54,20 +54,21 @@ print(f"exemplars: {len(ex)} across {len(set(ex.clusters.tolist()))} clusters")
 # 4. Explain the first injected fault. Blame lands on the dimensions
 #    the fault actually moved (beta marks the ground truth).
 # ---------------------------------------------------------------
-fault = next(t for t in test if t.anomalous)
-e = explain(det, ex, fault.x[None])[0]  # explain takes a matrix of rows
-print(f"\nanomaly score: {e.score:.4f} (baseline scores {e.baseline_score:.4f})")
-print(f"completeness gap: {e.gap:.2e} at m={e.path.steps}")
+i = int(np.argmax(test.anomalous))  # the test set's first fault row
+e = explain(det, ex, test.x[i:i + 1])  # explain takes a matrix of rows
+blame, beta = e.blame[0], test.beta[i]
+print(f"\nanomaly score: {e.score[0]:.4f} (baseline scores {e.baseline_score[0]:.4f})")
+print(f"completeness gap: {e.gap[0]:.2e} at m={e.steps[0]}")
 print("dim  blame   truth")
 for d in range(cfg.dims):
-    print(f"{d:3d}  {e.blame[d]:.4f}  {fault.beta[d]:.4f}")
-print(f"argmax blame = dim {int(np.argmax(e.blame))}, "
-      f"true fault dims = {np.flatnonzero(fault.beta).tolist()}")
+    print(f"{d:3d}  {blame[d]:.4f}  {beta[d]:.4f}")
+print(f"argmax blame = dim {int(np.argmax(blame))}, "
+      f"true fault dims = {np.flatnonzero(beta).tolist()}")
 
 # ---------------------------------------------------------------
 # 5. Audit the explanation against the four desiderata.
 # ---------------------------------------------------------------
-report = check_desiderata(det, e.x, e.baseline, e.raw)
+report = check_desiderata(det, e.x[0], e.baseline[0], e.raw[0])
 print(f"\ncontrastive: {report['contrastive']}, "
       f"gap: {report['completeness_gap']:.2e}, "
       f"proportionality agreement: {report['proportionality_pass_ratio']:.2f}")

@@ -8,15 +8,14 @@ labeled synthetic faults.
 """
 
 from .attribution import (
-    Explanation,
-    PathSpec,
+    Explanations,
     blame,
     check_desiderata,
     completeness_gap,
     explain,
     integrated_gradients,
 )
-from .benchmark import BenchmarkConfig, LabeledAnomaly, Mode, generate_fault_benchmark
+from .benchmark import BenchmarkConfig, LabeledSet, Mode, generate_fault_benchmark
 from .dataio import Dataset, Normalizer, fit_normalizer, load_telemetry
 from .detector import Detector, NegativeSamplingConfig, fit_detector, sample_negatives
 from .evaluation import attribution_error, evaluate_methods, mann_whitney_u
@@ -35,14 +34,13 @@ __all__ = [
     "BenchmarkConfig",
     "Dataset",
     "Detector",
-    "Explanation",
     "ExemplarSet",
-    "LabeledAnomaly",
+    "Explanations",
+    "LabeledSet",
     "Mode",
     "NegativeSamplingConfig",
     "NetworkModel",
     "Normalizer",
-    "PathSpec",
     "SurrogateConfig",
     "TrainConfig",
     "attribution_error",

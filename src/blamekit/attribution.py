@@ -10,14 +10,15 @@ total mass at most 1.
 
 Everything here takes a matrix of rows, one observation per row, and
 hands the network blocks of at most network.ROWS points, so a file costs
-one network call per block rather than several per row. A single
-observation is a one-row matrix: `explain(det, ex, x[None])[0]`.
+one network call per block rather than several per row. Results come
+back the same way: `explain` returns one `Explanations` of column
+arrays, row i of each belonging to input row i. A single observation is
+a one-row matrix: `explain(det, ex, x[None]).blame[0]`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,34 +34,24 @@ START_STEPS = 64
 MAX_STEPS = 2 ** 16
 
 
-@dataclass
-class PathSpec:
-    kind: str = "straight"     # "straight" = L2 line, "axis" = city-block
-    steps: int = START_STEPS   # midpoint nodes of the straight path; axis is exact
-
-    def __post_init__(self):
-        if self.kind not in PATH_KINDS:
-            raise ValueError(f"path kind must be one of {PATH_KINDS}, got {self.kind!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "m": self.steps}
-
-
 def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
-                         path: PathSpec) -> np.ndarray:
+                         kind: str = "straight", steps: int = START_STEPS) -> np.ndarray:
     """IG of the detector from each row of x to the same row of x_base,
     in normalized space; x and x_base are (N, D) matrices.
 
-    The axis path moves one displaced dimension at a time, largest
-    |displacement| first (lower index on ties), so each dimension's
-    integral is exactly the score difference across its own segment. The
-    straight path uses a midpoint Riemann sum with `path.steps` nodes
-    (START_STEPS by default); `explain` doubles them as needed. Path
-    points go to the network in blocks of whole rows, at most
-    network.ROWS points per call (or one row's points, if more).
+    `kind` "axis" is the city-block path: it moves one displaced
+    dimension at a time, largest |displacement| first (lower index on
+    ties), so each dimension's integral is exactly the score difference
+    across its own segment, and `steps` is unused. `kind` "straight" is
+    the L2 line, integrated by a midpoint Riemann sum with `steps` nodes;
+    `explain` doubles them as needed. Path points go to the network in
+    blocks of whole rows, at most network.ROWS points per call (or one
+    row's points, if more).
     """
+    if kind not in PATH_KINDS:
+        raise ValueError(f"path kind must be one of {PATH_KINDS}, got {kind!r}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     x = np.asarray(x, dtype=float)
     x_base = np.asarray(x_base, dtype=float)
     if x.shape != x_base.shape or x.ndim != 2:
@@ -71,14 +62,14 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
     dims = x.shape[1]
     diff = x_base - x
     raw = np.empty_like(diff)
-    if path.kind == "straight":
-        mids = (np.arange(path.steps) + 0.5) / path.steps
-        per = max(1, network.ROWS // path.steps)
+    if kind == "straight":
+        mids = (np.arange(steps) + 0.5) / steps
+        per = max(1, network.ROWS // steps)
         for lo in range(0, len(x), per):
             d = diff[lo:lo + per]
             points = x[lo:lo + per, None, :] + mids[:, None] * d[:, None, :]
             grads = network.input_gradient_batch(det.model, points.reshape(-1, dims))
-            raw[lo:lo + per] = d * grads.reshape(len(d), path.steps, dims).mean(axis=1)
+            raw[lo:lo + per] = d * grads.reshape(len(d), steps, dims).mean(axis=1)
         return raw
 
     # a stable sort keeps the tie-break, and so the staircase, deterministic;
@@ -119,52 +110,66 @@ def blame(raw: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Explanation:
+class Explanations:
+    """Explanations of N rows as column arrays; row i of each is input row i.
+
+    x, baseline, raw and blame are (N, D), in normalized space; score,
+    baseline_score, gap and steps are (N,). `steps` is the number of
+    midpoint nodes a row's straight path ended at; the exact axis path
+    reports START_STEPS. `timestamps` holds one timestamp or None per row,
+    or is None when the input had none.
+    """
+
     x: np.ndarray
     baseline: np.ndarray
-    score: float
-    baseline_score: float
+    score: np.ndarray
+    baseline_score: np.ndarray
     raw: np.ndarray
     blame: np.ndarray
-    gap: float
+    gap: np.ndarray
+    steps: np.ndarray
     metric: str
-    path: PathSpec
-    flags: list[str] = field(default_factory=list)
-    timestamp: str | None = None
+    path: str
+    timestamps: list | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "x": self.x.tolist(),
-            "baseline": self.baseline.tolist(),
-            "score": self.score,
-            "baseline_score": self.baseline_score,
-            "raw": self.raw.tolist(),
-            "blame": self.blame.tolist(),
-            "gap": self.gap,
-            "metric": self.metric,
-            "path": self.path.to_dict(),
-            "flags": list(self.flags),
-        }
-        if self.timestamp is not None:
-            d["ts"] = self.timestamp
-        return d
+    def __len__(self) -> int:
+        return len(self.score)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+    def records(self):
+        """One JSON-ready dict per row, in explanations.jsonl key order; a
+        row is flagged when it scores as normal or misses the gap tolerance,
+        and carries "ts" only if it has a timestamp."""
+        stamps = self.timestamps or [None] * len(self)
+        for x, xb, fx, fb, raw, b, gap, m, ts in zip(
+                self.x.tolist(), self.baseline.tolist(), self.score.tolist(),
+                self.baseline_score.tolist(), self.raw.tolist(), self.blame.tolist(),
+                self.gap.tolist(), self.steps.tolist(), stamps, strict=True):
+            flags = []
+            if fx > 0.5:
+                flags.append("non_anomalous")
+            if gap > GAP_TOLERANCE:
+                flags.append("completeness_gap_above_tolerance")
+            d = {"x": x, "baseline": xb, "score": fx, "baseline_score": fb, "raw": raw,
+                 "blame": b, "gap": gap, "metric": self.metric,
+                 "path": {"kind": self.path, "m": m}, "flags": flags}
+            if ts is not None:
+                d["ts"] = ts.isoformat() if hasattr(ts, "isoformat") else str(ts)
+            yield d
 
 
 def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
-            path: str = "straight", timestamps=None) -> list[Explanation]:
+            path: str = "straight", timestamps=None) -> Explanations:
     """Full pipeline for each row of the (N, D) matrix x_raw: normalize,
     pick the nearest exemplar, integrate gradients, normalize to blame.
+    Returns one Explanations whose row i explains row i of x_raw.
 
     `path` is a path kind, "straight" or "axis". On the straight path
     every row starts at START_STEPS steps; after each pass the rows whose
     completeness gap is still above tolerance run again at twice the
     steps (up to 2^16). The exact axis path stops after one pass. Each
     row reports the steps it used and its residual gap. A near-normal
-    observation is flagged, not rejected. `timestamps`, if given, holds
-    one timestamp (or None) per row.
+    observation is flagged in its record, not rejected. `timestamps`, if
+    given, holds one timestamp (or None) per row.
     """
     x = det.normalizer.apply(x_raw)
     x_base, _ = nearest_exemplar(x, ex, metric)
@@ -178,29 +183,14 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
     steps = START_STEPS
     while len(open_rows):
         raw[open_rows] = integrated_gradients(det, x[open_rows], x_base[open_rows],
-                                              PathSpec(path, steps))
+                                              path, steps)
         gap[open_rows] = _gap(raw[open_rows], fx[open_rows], fb[open_rows])
         m[open_rows] = steps
         if steps >= MAX_STEPS:
             break
         open_rows = open_rows[gap[open_rows] > GAP_TOLERANCE]
         steps *= 2
-
-    blames = blame(raw)
-    if timestamps is None:
-        timestamps = [None] * len(x)
-    out = []
-    for i, ts in zip(range(len(x)), timestamps, strict=True):
-        flags = []
-        if fx[i] > 0.5:
-            flags.append("non_anomalous")
-        if gap[i] > GAP_TOLERANCE:
-            flags.append("completeness_gap_above_tolerance")
-        if ts is not None:
-            ts = ts.isoformat() if hasattr(ts, "isoformat") else str(ts)
-        out.append(Explanation(x[i], x_base[i], float(fx[i]), float(fb[i]), raw[i], blames[i],
-                               float(gap[i]), metric, PathSpec(path, int(m[i])), flags, ts))
-    return out
+    return Explanations(x, x_base, fx, fb, raw, blame(raw), gap, m, metric, path, timestamps)
 
 
 def check_desiderata(det: Detector, x, x_base, raw: np.ndarray,
@@ -235,7 +225,7 @@ def check_desiderata(det: Detector, x, x_base, raw: np.ndarray,
                     inert = False
         sensitivity[int(d)] = inert
 
-    dense = integrated_gradients(det, x[None], x_base[None], PathSpec("straight", 16384))[0]
+    dense = integrated_gradients(det, x[None], x_base[None], "straight", 16384)[0]
     rng = np.random.default_rng(seed)
     dims = len(raw)
     agree = tried = 0

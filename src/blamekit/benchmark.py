@@ -5,7 +5,7 @@ mixture of axis-aligned Gaussian modes inside the unit cube; faults
 shift a few randomly chosen dimensions far outside the generating
 mode's 99.9% envelope, clamped to [0,1]. Every fault row carries a
 ground-truth attribution vector with equal weight on the shifted
-dimensions.
+dimensions. The labeled test set is one `LabeledSet` of column arrays.
 """
 
 from __future__ import annotations
@@ -67,21 +67,36 @@ def default_modes(dims: int) -> list[Mode]:
     ]
 
 
+def _first_bad_row(label: np.ndarray, beta: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first row whose label is not 0 or 1, or whose
+    beta does not sum to 1 on a fault row or is not zero on a normal row."""
+    sum_off = ~(np.abs(beta.sum(axis=1) - 1.0) <= 1e-8 + 1e-5)  # np.isclose's test
+    faults = [((label != 0) & (label != 1), "label must be 0 or 1"),
+              ((label == 1) & sum_off, "anomalous rows need beta summing to 1"),
+              ((label == 0) & np.any(beta != 0, axis=1), "normal rows must have all-zero beta")]
+    return min(((int(np.argmax(bad)), why) for bad, why in faults if bad.any()), default=None)
+
+
 @dataclass
-class LabeledAnomaly:
+class LabeledSet:
+    """Labeled test rows as columns: raw observations x (N, D), the fault
+    label anomalous (N,) and the ground-truth attribution beta (N, D),
+    which sums to 1 on a fault row and is zero on a normal one."""
+
     x: np.ndarray
-    anomalous: bool
+    anomalous: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
+        self.anomalous = np.asarray(self.anomalous, dtype=bool)
         self.beta = np.asarray(self.beta, dtype=float)
-        if self.anomalous:
-            # np.isclose's test written out: it costs ~20 us per call on a scalar
-            if not abs(self.beta.sum() - 1.0) <= 1e-8 + 1e-5:
-                raise ConfigError("anomalous rows need beta summing to 1")
-        elif np.any(self.beta != 0):
-            raise ConfigError("normal rows must have all-zero beta")
+        bad = _first_bad_row(self.anomalous, self.beta)
+        if bad is not None:
+            raise ConfigError(f"row {bad[0]}: {bad[1]}")
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 def _fault_directions(mode: Mode, d: int, magnitude: float) -> list[float]:
@@ -113,15 +128,16 @@ def _draw_normals(cfg: BenchmarkConfig, n: int, rng) -> tuple[np.ndarray, np.nda
     weights = np.array([m.weight for m in cfg.modes])
     weights = weights / weights.sum()
     which = rng.choice(len(cfg.modes), size=n, p=weights)
-    x = np.empty((n, cfg.dims))
-    for i, k in enumerate(which):
-        mode = cfg.modes[k]
-        x[i] = np.clip(rng.normal(mode.center, mode.scale), 0.0, 1.0)
+    centers = np.array([m.center for m in cfg.modes])
+    scales = np.array([m.scale for m in cfg.modes])
+    # one call draws the same stream, row by row, as one call per row
+    x = np.clip(rng.normal(centers[which], scales[which, None]), 0.0, 1.0)
     return x, which
 
 
-def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, list[LabeledAnomaly]]:
-    """Deterministic (per seed) train set and labeled test set."""
+def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, LabeledSet]:
+    """Deterministic (per seed) train set and labeled test set: the
+    n_test_normal normal rows, then the n_faults fault rows."""
     validate_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     names = [f"dim_{d}" for d in range(cfg.dims)]
@@ -129,44 +145,41 @@ def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, list[Labele
     train, _ = _draw_normals(cfg, cfg.n_normal, rng)
     train_ds = Dataset(names, train)
 
-    test: list[LabeledAnomaly] = []
     normals, _ = _draw_normals(cfg, cfg.n_test_normal, rng)
-    for row in normals:
-        test.append(LabeledAnomaly(row, False, np.zeros(cfg.dims)))
-
-    bases, which = _draw_normals(cfg, cfg.n_faults, rng)
-    for row, k in zip(bases, which):
+    faults, which = _draw_normals(cfg, cfg.n_faults, rng)
+    beta = np.zeros_like(faults)
+    for x, b, k in zip(faults, beta, which):  # x and b are views of one row
         mode = cfg.modes[k]
         n_a = int(rng.choice(np.asarray(cfg.fault_dims)))
         feasible = [d for d in range(cfg.dims) if _fault_directions(mode, d, cfg.magnitude)]
         if len(feasible) < n_a:
             raise ConfigError(f"only {len(feasible)} feasible fault dimensions, need {n_a}")
         chosen = rng.choice(feasible, size=n_a, replace=False)
-        x = row.copy()
-        beta = np.zeros(cfg.dims)
         for d in chosen:
             dirs = _fault_directions(mode, d, cfg.magnitude)
             sign = dirs[0] if len(dirs) == 1 else float(rng.choice(dirs))
             x[d] = np.clip(mode.center[d] + sign * cfg.magnitude, 0.0, 1.0)
-            beta[d] = 1.0 / n_a
-        test.append(LabeledAnomaly(x, True, beta))
+            b[d] = 1.0 / n_a
+    anomalous = np.arange(len(normals) + len(faults)) >= len(normals)
+    test = LabeledSet(np.vstack([normals, faults]), anomalous,
+                      np.vstack([np.zeros_like(normals), beta]))
     return train_ds, test
 
 
-def save_benchmark(train: Dataset, test: list[LabeledAnomaly], train_path, test_path) -> None:
+def save_benchmark(train: Dataset, test: LabeledSet, train_path, test_path) -> None:
     save_telemetry(train, train_path)
     names = train.names
-    test_ds = Dataset(names, np.array([t.x for t in test]).reshape(len(test), len(names)))
     extra_names = ["label"] + [f"beta_{n}" for n in names]
-    extra = np.array(
-        [[1.0 if t.anomalous else 0.0, *t.beta] for t in test]
-    )
-    save_telemetry(test_ds, test_path, extra_names=extra_names, extra_values=extra)
+    extra = np.hstack([test.anomalous[:, None].astype(float), test.beta])
+    save_telemetry(Dataset(names, test.x), test_path, extra_names=extra_names,
+                   extra_values=extra)
 
 
-def load_labeled(path, expected: list[str] | None = None) -> list[LabeledAnomaly]:
+def load_labeled(path, expected: list[str] | None = None) -> LabeledSet:
     """Read a test CSV written by save_benchmark, whose value columns (the
-    ones before 'label') must equal `expected` if given."""
+    ones before 'label') must equal `expected` if given. A label other
+    than 0 or 1, or a beta that breaks the LabeledSet contract, is a
+    ParseError naming the file and the row."""
     ds = load_telemetry(path)
     try:
         label_col = ds.names.index("label")
@@ -178,10 +191,8 @@ def load_labeled(path, expected: list[str] | None = None) -> list[LabeledAnomaly
     beta_cols = [f"beta_{n}" for n in dim_names]
     if ds.names[label_col + 1 :] != beta_cols:
         raise ParseError(f"{path}: beta columns must mirror the value columns")
-    out = []
-    for row in ds.values:
-        x = row[:label_col]
-        anomalous = bool(row[label_col])
-        beta = row[label_col + 1 :]
-        out.append(LabeledAnomaly(x, anomalous, beta))
-    return out
+    label, beta = ds.values[:, label_col], ds.values[:, label_col + 1 :]
+    bad = _first_bad_row(label, beta)
+    if bad is not None:  # data row i is file row i + 2, after the header
+        raise ParseError(f"{path}: row {bad[0] + 2}: {bad[1]}")
+    return LabeledSet(ds.values[:, :label_col], label == 1, beta)

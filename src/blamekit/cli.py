@@ -126,8 +126,9 @@ def cmd_explain(args) -> int:
     ex = ExemplarSet.load(args.exemplars)
     data = load_telemetry(args.input_csv, det.normalizer.names)
     # build every record first, so a row that fails leaves no partial file
-    lines = [e.to_json() + "\n" for e in explain(det, ex, data.values, metric=args.metric,
-                                                path=args.path, timestamps=data.timestamps)]
+    expl = explain(det, ex, data.values, metric=args.metric, path=args.path,
+                   timestamps=data.timestamps)
+    lines = [json.dumps(r) + "\n" for r in expl.records()]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     _write_runlog(args.out, "explain", vars(args), {},
@@ -143,8 +144,7 @@ def cmd_evaluate(args) -> int:
     sur_seed = _fan_out(args.seed, "surrogate")
 
     def ig_method(x_raw):
-        return np.array([e.blame for e in explain(det, ex, x_raw, metric=args.metric,
-                                                  path=args.path)])
+        return explain(det, ex, x_raw, metric=args.metric, path=args.path).blame
 
     def surrogate_method(x_raw):
         cfg = SurrogateConfig(samples=25 * det.dims, seed=sur_seed)

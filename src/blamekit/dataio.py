@@ -1,4 +1,4 @@
-"""Telemetry CSV ingestion and min-max normalization.
+"""Telemetry CSV ingestion, min-max normalization and JSON artifact reading.
 
 CSV contract: first row is a header; an optional leading column named
 "ts" carries ISO 8601 UTC timestamps; every other column is real-valued
@@ -9,6 +9,7 @@ with '.' decimal separator. Rows with blanks, non-numeric or non-finite
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -93,20 +94,17 @@ def load_telemetry(path, expected: list[str] | None = None) -> Dataset:
 
 
 def save_telemetry(ds: Dataset, path, extra_names=(), extra_values=None) -> None:
-    """Write a Dataset back to CSV; extra columns are appended after the dims."""
+    """Write a Dataset back to CSV, floats as str(float); the (N, k) extra columns go after the dims."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         has_ts = any(t is not None for t in ds.timestamps)
         header = (["ts"] if has_ts else []) + list(ds.names) + list(extra_names)
         writer.writerow(header)
-        for i in range(len(ds)):
-            row = []
-            if has_ts:
-                row.append(ds.timestamps[i].isoformat())
-            row.extend(repr(float(v)) for v in ds.values[i])
-            if extra_values is not None:
-                row.extend(repr(float(v)) for v in np.atleast_1d(extra_values[i]))
-            writer.writerow(row)
+        values = ds.values if extra_values is None else np.hstack([ds.values, extra_values])
+        rows = values.tolist()
+        if has_ts:
+            rows = [[t.isoformat(), *row] for t, row in zip(ds.timestamps, rows)]
+        writer.writerows(rows)
 
 
 @dataclass
@@ -152,6 +150,17 @@ class Normalizer:
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
         return cls(np.array(d["min"]), np.array(d["max"]), list(d["names"]))
+
+
+def load_artifact(path, from_dict, what: str):
+    """Read the JSON artifact at path through from_dict; a missing key or
+    a wrong type is a ParseError naming the file and `what` it should be."""
+    with open(path, encoding="utf-8") as fh:
+        d = json.load(fh)
+    try:
+        return from_dict(d)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: not {what} artifact ({exc!r})") from None
 
 
 def fit_normalizer(data: Dataset) -> Normalizer:

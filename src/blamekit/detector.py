@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .dataio import Dataset, Normalizer, fit_normalizer
-from .errors import InputError, ParseError, ShapeError
+from .dataio import Dataset, Normalizer, fit_normalizer, load_artifact
+from .errors import InputError, ShapeError
 from .evaluation import rank_auc
 from .network import NetworkModel, TrainConfig
 
@@ -47,9 +47,6 @@ class Detector:
     def dims(self) -> int:
         return self.model.dims
 
-    def score_normalized(self, x_norm: np.ndarray) -> np.ndarray:
-        return network.forward_batch(self.model, np.atleast_2d(x_norm))
-
     def to_dict(self) -> dict:
         return {
             "model": self.model.to_dict(),
@@ -71,12 +68,7 @@ class Detector:
 
     @classmethod
     def load(cls, path) -> "Detector":
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        try:
-            return cls.from_dict(d)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: not a detector artifact ({exc!r})") from None
+        return load_artifact(path, cls.from_dict, "a detector")
 
 
 def sample_negatives(x_norm: np.ndarray, cfg: NegativeSamplingConfig) -> np.ndarray:

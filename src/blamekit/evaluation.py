@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .benchmark import LabeledAnomaly
+from .benchmark import LabeledSet
 from .errors import InputError, ShapeError
 
 EXACT_ENUM_LIMIT = 500_000  # max arrangements for exact enumeration
@@ -115,8 +115,8 @@ class MethodReport:
         }
 
 
-def evaluate_methods(test: list[LabeledAnomaly], methods: dict) -> list[MethodReport]:
-    """Score each attribution method on every labeled anomalous row.
+def evaluate_methods(test: LabeledSet, methods: dict) -> list[MethodReport]:
+    """Score each attribution method on every anomalous row of `test`.
 
     `methods` maps a name to a callable that takes the (N, D) matrix of
     raw anomalous observations and returns their (N, D) blame matrix. A
@@ -124,11 +124,9 @@ def evaluate_methods(test: list[LabeledAnomaly], methods: dict) -> list[MethodRe
     marked failed with the diagnostic; the others continue. Normal rows
     never enter error aggregation.
     """
-    anomalous = [t for t in test if t.anomalous]
-    if len(anomalous) < 30:
-        raise InputError(f"need at least 30 anomalous rows, got {len(anomalous)}")
-    x = np.array([t.x for t in anomalous])
-    beta = np.array([t.beta for t in anomalous])
+    x, beta = test.x[test.anomalous], test.beta[test.anomalous]
+    if len(x) < 30:
+        raise InputError(f"need at least 30 anomalous rows, got {len(x)}")
 
     reports = []
     for name, fn in methods.items():

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering, network
+from .dataio import load_artifact
 from .detector import Detector
-from .errors import EmptyBaselineError, ParseError, ShapeError
+from .errors import EmptyBaselineError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -80,12 +81,7 @@ class ExemplarSet:
 
     @classmethod
     def load(cls, path) -> "ExemplarSet":
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        try:
-            return cls.from_dict(d)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: not an exemplar-set artifact ({exc!r})") from None
+        return load_artifact(path, cls.from_dict, "an exemplar-set")
 
 
 def select_baseline(
@@ -110,7 +106,7 @@ def select_baseline(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
 
-    scores = det.score_normalized(x_norm)
+    scores = network.forward_batch(det.model, x_norm)
     mask = scores > 1.0 - epsilon
     candidates = x_norm[mask]
     cand_scores = scores[mask]
@@ -168,7 +164,7 @@ def naive_baseline(x_norm: np.ndarray, det: Detector, size: int) -> ExemplarSet:
     ones at matched sample size.
     """
     x_norm = np.atleast_2d(np.asarray(x_norm, dtype=float))
-    scores = det.score_normalized(x_norm)
+    scores = network.forward_batch(det.model, x_norm)
     top = np.argsort(-scores, kind="stable")[:size]
     return ExemplarSet(
         x_norm[top],

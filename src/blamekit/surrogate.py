@@ -55,7 +55,7 @@ def surrogate_coefficients(det: Detector, x_norm: np.ndarray,
     per = max(1, network.ROWS // cfg.samples)
     for lo in range(0, len(x_norm), per):
         points = x_norm[lo:lo + per, None, :] + z
-        scores = det.score_normalized(points.reshape(-1, dims)).reshape(-1, cfg.samples)
+        scores = network.forward_batch(det.model, points.reshape(-1, dims)).reshape(-1, cfg.samples)
         b[:, lo:lo + per] = design.T @ (w * scores).T
     return np.linalg.solve(a, b)[1:].T
 

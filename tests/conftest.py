@@ -11,6 +11,7 @@ import pytest
 
 from blamekit import (
     BenchmarkConfig,
+    LabeledSet,
     NegativeSamplingConfig,
     TrainConfig,
     fit_detector,
@@ -66,16 +67,21 @@ def ex16(bench16, det16):
                            n=5, epsilon=0.1, seed=3)
 
 
+def fault_rows(test):
+    m = test.anomalous
+    return LabeledSet(test.x[m], m[m], test.beta[m])
+
+
 @pytest.fixture(scope="session")
 def anomalies16(bench16):
     _, _, test = bench16
-    return [t for t in test if t.anomalous]
+    return fault_rows(test)
 
 
 @pytest.fixture(scope="session")
 def anomalies8(bench8):
     _, _, test = bench8
-    return [t for t in test if t.anomalous]
+    return fault_rows(test)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -13,7 +13,6 @@ import pytest
 
 from blamekit import (
     BenchmarkConfig,
-    PathSpec,
     TrainConfig,
     attribution_error,
     blame,
@@ -78,7 +77,7 @@ def test_02_ig_matches_analytic_path_integral():
         b = float(rng.normal())
         det = unit_detector(w, b)
         x, xb = rng.uniform(size=dims), rng.uniform(size=dims)
-        raw = integrated_gradients(det, x[None], xb[None], PathSpec("straight", 2048))[0]
+        raw = integrated_gradients(det, x[None], xb[None], "straight", 2048)[0]
         exact = logistic_unit_ig_closed_form(w, b, x, xb)
         worst = max(worst, float(np.max(np.abs(raw - exact))))
     ok = worst <= 1e-6 and time.time() - t0 < 10
@@ -93,13 +92,12 @@ def test_03_completeness(det16, ex16, anomalies16):
     decreasing = 0
     n_pairs = 100
     for _ in range(n_pairs):
-        anom = anomalies16[int(rng.integers(len(anomalies16)))]
-        x = det16.normalizer.apply(anom.x)
+        x = det16.normalizer.apply(anomalies16.x[int(rng.integers(len(anomalies16)))])
         xb = ex16.points[int(rng.integers(len(ex16)))]
         gaps = {}
         m = 256
         while True:
-            raw = integrated_gradients(det16, x[None], xb[None], PathSpec("straight", m))
+            raw = integrated_gradients(det16, x[None], xb[None], "straight", m)
             gaps[m] = completeness_gap(det16, x[None], xb[None], raw)[0]
             if gaps[m] <= 1e-3 or m >= 2 ** 16:
                 break
@@ -122,9 +120,9 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
     picks = rng.choice(len(anomalies16), size=20, replace=False)
     diffs = {d: [] for d in deltas}
     for i in picks:
-        x = det16.normalizer.apply(anomalies16[i].x)
+        x = det16.normalizer.apply(anomalies16.x[i])
         c = nearest_exemplar(x[None], ex16)[0][0]
-        base = integrated_gradients(det16, x[None], c[None], PathSpec("straight", 2048))[0]
+        base = integrated_gradients(det16, x[None], c[None], "straight", 2048)[0]
         # one shared direction per anomaly, kept high-confidence at all radii
         for _ in range(100):
             u = rng.normal(size=len(c))
@@ -133,7 +131,7 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
                 break
         for d in deltas:
             other = integrated_gradients(det16, x[None], (c + d * u)[None],
-                                         PathSpec("straight", 2048))[0]
+                                         "straight", 2048)[0]
             diffs[d].append(float(np.max(np.abs(base - other))))
     means = [float(np.mean(diffs[d])) for d in deltas]
     ok = (means[0] > means[1] > means[2] and means[2] <= 1e-3
@@ -145,17 +143,15 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
 def test_05_proportionality(det16, ex16, anomalies16):
     t0 = time.time()
     agree = tried = 0
-    es = explain(det16, ex16, np.array([a.x for a in anomalies16[:50]]))
-    denses = blame(integrated_gradients(det16, np.array([e.x for e in es]),
-                                        np.array([e.baseline for e in es]),
-                                        PathSpec("straight", 16384)))
-    for e, dense in zip(es, denses):
+    es = explain(det16, ex16, anomalies16.x[:50])
+    denses = blame(integrated_gradients(det16, es.x, es.baseline, "straight", 16384))
+    for b, dense in zip(es.blame, denses):
         for u in range(det16.dims):
             for v in range(u + 1, det16.dims):
                 if abs(dense[u] - dense[v]) < 1e-6:
                     continue  # tied pair, excluded
                 tried += 1
-                agree += np.sign(e.blame[u] - e.blame[v]) == np.sign(dense[u] - dense[v])
+                agree += np.sign(b[u] - b[v]) == np.sign(dense[u] - dense[v])
     ratio = agree / tried
     ok = ratio >= 0.95 and time.time() - t0 < 120
     check(5, "blame ordering matches dense rate-of-change ordering", ok,
@@ -209,7 +205,7 @@ def test_08_attribution_quality(det16, ex16, anomalies16):
     assert len(anomalies16) >= 200
 
     def ig_method(x_raw):
-        return np.array([e.blame for e in explain(det16, ex16, x_raw)])
+        return explain(det16, ex16, x_raw).blame
 
     def surrogate_method(x_raw):
         cfg = SurrogateConfig(samples=25 * det16.dims, seed=6)
@@ -219,10 +215,11 @@ def test_08_attribution_quality(det16, ex16, anomalies16):
         anomalies16, {"ig": ig_method, "surrogate": surrogate_method})}
     p = reports["ig"].p_values["surrogate"]
 
-    singles = [a for a in anomalies16 if np.isclose(a.beta.max(), 1.0)]
-    hits = sum(a.beta[np.argmax(e.blame)] == 1.0
-               for a, e in zip(singles, explain(det16, ex16, np.array([a.x for a in singles]))))
-    hit_rate = hits / len(singles)
+    singles = np.isclose(anomalies16.beta.max(axis=1), 1.0)
+    hits = sum(beta[np.argmax(b)] == 1.0
+               for beta, b in zip(anomalies16.beta[singles],
+                                  explain(det16, ex16, anomalies16.x[singles]).blame))
+    hit_rate = hits / np.count_nonzero(singles)
     ok = (reports["ig"].mean < reports["surrogate"].mean and p < 0.05
           and hit_rate >= 0.90 and time.time() - t0 < 600)
     check(8, "IG beats the local surrogate on attribution error", ok,

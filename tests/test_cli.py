@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,40 @@ class TestExplainCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    KEYS = ["x", "baseline", "score", "baseline_score", "raw", "blame", "gap",
+            "metric", "path", "flags"]
+
+    def records(self, pipeline, inp, out, *flags):
+        assert main(["explain", str(pipeline / "detector.json"), str(pipeline / "exemplars.json"),
+                     str(inp), "--out", str(out), *flags]) == 0
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    def test_record_schema(self, pipeline, tmp_path):
+        inp, out = small_input(pipeline, tmp_path), tmp_path / "e.jsonl"
+        for r in self.records(pipeline, inp, out):
+            assert list(r) == self.KEYS
+            assert list(r["path"]) == ["kind", "m"] and r["path"]["kind"] == "straight"
+            assert r["metric"] == "L2"
+        for r in self.records(pipeline, inp, out, "--path", "axis", "--metric", "L1"):
+            assert list(r) == self.KEYS
+            assert r["path"] == {"kind": "axis", "m": 64}
+            assert r["metric"] == "L1"
+
+    def test_timestamps_round_trip(self, pipeline, tmp_path):
+        lines = small_input(pipeline, tmp_path, n=3).read_text().splitlines()
+        stamps = ["2024-03-01T12:00:00Z", "2024-03-01T13:00:01+01:00", "2024-03-01T12:00:02"]
+        inp = tmp_path / "ts.csv"
+        inp.write_text("\n".join(["ts," + lines[0]] + [f"{t},{row}" for t, row in
+                                                       zip(stamps, lines[1:])]) + "\n")
+        records = self.records(pipeline, inp, tmp_path / "e.jsonl")
+        assert [list(r) for r in records] == [self.KEYS + ["ts"]] * 3
+        want = [datetime(2024, 3, 1, 12, 0, s, tzinfo=timezone.utc) for s in (0, 1, 2)]
+        assert [datetime.fromisoformat(r["ts"]) for r in records] == want
+        # the written stamps read back as the same stamps
+        inp.write_text("\n".join(["ts," + lines[0]] + [f"{r['ts']},{row}" for r, row in
+                                                       zip(records, lines[1:])]) + "\n")
+        assert self.records(pipeline, inp, tmp_path / "e2.jsonl") == records
+
     @pytest.mark.parametrize("artifact", ["detector.json", "exemplars.json"])
     def test_wrong_artifact_exit_2(self, pipeline, tmp_path, capsys, artifact):
         # the same file as both detector and exemplar set: one of the two is wrong
@@ -192,6 +227,40 @@ class TestBadInput:
         assert len(calls) == 1
         assert not out.exists()
         assert not Path(str(out) + ".runlog.json").exists()
+
+    def bad_test_csv(self, pipeline, tmp_path, row, col, cell):
+        """A copy of the labeled test.csv with one cell of one file row replaced."""
+        def poison(rows):
+            rows[row - 1][rows[0].index(col)] = cell
+            return rows
+        inp = tmp_path / "test.csv"
+        inp.write_text((pipeline / "test.csv").read_text())
+        return self.rewrite(inp, poison)
+
+    def test_label_must_be_0_or_1(self, pipeline, tmp_path, capsys):
+        # file row 42 is the first fault row (40 normal rows follow the header)
+        inp = self.bad_test_csv(pipeline, tmp_path, 42, "label", "2.0")
+        out = tmp_path / "out"
+        assert self.run(pipeline, "evaluate", inp, out) == 2
+        err = capsys.readouterr().err
+        assert f"{inp}: row 42: label must be 0 or 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, cell, why", [
+        (42, "0.0", "anomalous rows need beta summing to 1"),
+        (5, "0.5", "normal rows must have all-zero beta"),
+    ])
+    def test_bad_beta_row_located(self, pipeline, tmp_path, capsys, row, cell, why):
+        lines = (pipeline / "test.csv").read_text().splitlines()
+        header, cells = lines[0].split(","), lines[row - 1].split(",")
+        # a beta column that is nonzero on the fault row, or any on the normal one
+        col = next(c for c, v in zip(header, cells)
+                   if c.startswith("beta_") and float(v) != float(cell))
+        inp = self.bad_test_csv(pipeline, tmp_path, row, col, cell)
+        out = tmp_path / "out"
+        assert self.run(pipeline, "evaluate", inp, out) == 2
+        assert f"{inp}: row {row}: {why}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", ["renamed", "swapped"])
     @pytest.mark.parametrize("command", ["baseline", "explain", "evaluate"])

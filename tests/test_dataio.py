@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -57,6 +58,21 @@ class TestLoadTelemetry:
         back = load_telemetry(tmp_path / "out.csv")
         np.testing.assert_array_equal(ds.values, back.values)
         assert back.names == ["a", "b"]
+
+    def test_round_trip_with_timestamps_and_extra_columns(self, tmp_path):
+        stamps = [datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc),
+                  datetime(2024, 1, 2, 3, 4, 6, tzinfo=timezone.utc)]
+        ds = Dataset(["a", "b"], np.array([[0.1, 1e-20], [1e16, -0.0]]), stamps)
+        save_telemetry(ds, tmp_path / "out.csv", extra_names=["label"],
+                       extra_values=np.array([[1.0], [0.0]]))
+        # every float cell is its shortest round-tripping repr
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"ts,a,b,label\r\n"
+            b"2024-01-02T03:04:05+00:00,0.1,1e-20,1.0\r\n"
+            b"2024-01-02T03:04:06+00:00,1e+16,-0.0,0.0\r\n")
+        back = load_telemetry(tmp_path / "out.csv")
+        assert back.timestamps == stamps
+        np.testing.assert_array_equal(back.values, [[0.1, 1e-20, 1.0], [1e16, -0.0, 0.0]])
 
 
 class TestNormalizer:

@@ -9,13 +9,14 @@ from blamekit import (
     fit_detector,
     sample_negatives,
 )
+from blamekit import network
 from blamekit.detector import rank_auc
 from blamekit.errors import InputError
 
 
 def score(det, x_raw):
     """Scores of raw rows, through the detector's own normalizer."""
-    return det.score_normalized(det.normalizer.apply(x_raw))
+    return network.forward_batch(det.model, det.normalizer.apply(x_raw))
 
 
 class TestRankAuc:
@@ -101,8 +102,8 @@ class TestScore:
 
     def test_label_convention(self, bench8, det8):
         _, _, test = bench8
-        normals = np.array([t.x for t in test if not t.anomalous])
-        faults = np.array([t.x for t in test if t.anomalous])
+        normals = test.x[~test.anomalous]
+        faults = test.x[test.anomalous]
         auc = rank_auc(score(det8, normals), score(det8, faults))
         assert auc > 0.5
         assert score(det8, faults).mean() < score(det8, normals).mean()

@@ -7,7 +7,7 @@ from blamekit import (
     generate_fault_benchmark,
     mann_whitney_u,
 )
-from blamekit.benchmark import LabeledAnomaly, Mode, save_benchmark, load_labeled
+from blamekit.benchmark import LabeledSet, Mode, save_benchmark, load_labeled
 from blamekit.errors import ConfigError, InputError, ShapeError
 from blamekit.evaluation import MethodReport, evaluate_methods, format_table
 
@@ -98,27 +98,27 @@ class TestBenchmark:
         cfg = BenchmarkConfig(dims=8, n_normal=200, n_test_normal=20,
                               n_faults=50, fault_dims=(1,), seed=0)
         _, test = generate_fault_benchmark(cfg)
-        faults = [t for t in test if t.anomalous]
+        faults = test.beta[test.anomalous]
         assert len(faults) == 50
-        for t in faults:
-            assert np.sum(t.beta == 1.0) == 1
-            assert t.beta.sum() == 1.0
+        for beta in faults:
+            assert np.sum(beta == 1.0) == 1
+            assert beta.sum() == 1.0
 
     def test_double_fault_rows(self):
         cfg = BenchmarkConfig(dims=8, n_normal=200, n_test_normal=20,
                               n_faults=50, fault_dims=(2,), seed=0)
         _, test = generate_fault_benchmark(cfg)
-        for t in (t for t in test if t.anomalous):
-            assert np.sum(t.beta == 0.5) == 2
+        for beta in test.beta[test.anomalous]:
+            assert np.sum(beta == 0.5) == 2
 
     def test_normal_rows_have_zero_beta(self):
         cfg = BenchmarkConfig(dims=8, n_normal=100, n_test_normal=30,
                               n_faults=40, seed=1)
         _, test = generate_fault_benchmark(cfg)
-        normals = [t for t in test if not t.anomalous]
+        normals = test.beta[~test.anomalous]
         assert len(normals) == 30
-        for t in normals:
-            assert np.all(t.beta == 0.0)
+        for beta in normals:
+            assert np.all(beta == 0.0)
 
     def test_byte_identical_csv(self, tmp_path):
         cfg = BenchmarkConfig(dims=4, n_normal=50, n_test_normal=10,
@@ -137,6 +137,14 @@ class TestBenchmark:
             generate_fault_benchmark(
                 BenchmarkConfig(dims=4, modes=modes, magnitude=0.1, seed=0))
 
+    def test_labeled_set_checks_beta_per_row(self):
+        x = np.zeros((3, 2))
+        LabeledSet(x, [False, True, True], [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(ConfigError, match="row 2: anomalous rows need beta summing to 1"):
+            LabeledSet(x, [False, True, True], [[0.0, 0.0], [0.5, 0.5], [0.5, 0.0]])
+        with pytest.raises(ConfigError, match="row 1: normal rows must have all-zero beta"):
+            LabeledSet(x, [False, False, True], [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+
     def test_labeled_round_trip(self, tmp_path):
         cfg = BenchmarkConfig(dims=4, n_normal=30, n_test_normal=5,
                               n_faults=10, magnitude=0.55, seed=3)
@@ -144,21 +152,19 @@ class TestBenchmark:
         save_benchmark(train, test, tmp_path / "train.csv", tmp_path / "test.csv")
         back = load_labeled(tmp_path / "test.csv")
         assert len(back) == len(test)
-        for orig, re in zip(test, back):
-            np.testing.assert_array_equal(orig.x, re.x)
-            assert orig.anomalous == re.anomalous
-            np.testing.assert_array_equal(orig.beta, re.beta)
+        np.testing.assert_array_equal(test.x, back.x)
+        np.testing.assert_array_equal(test.anomalous, back.anomalous)
+        np.testing.assert_array_equal(test.beta, back.beta)
 
 
 class TestEvaluateMethods:
     def fake_test_set(self, n=40, d=4, seed=0):
         rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(n):
-            beta = np.zeros(d)
-            beta[rng.integers(d)] = 1.0
-            out.append(LabeledAnomaly(rng.uniform(size=d), True, beta))
-        return out
+        x, beta = np.empty((n, d)), np.zeros((n, d))
+        for i in range(n):
+            beta[i, rng.integers(d)] = 1.0
+            x[i] = rng.uniform(size=d)
+        return LabeledSet(x, np.ones(n, dtype=bool), beta)
 
     def test_single_method(self):
         test = self.fake_test_set(d=16)

@@ -88,7 +88,7 @@ class TestSelectBaseline:
 
     def test_scores_above_threshold(self, ex8, det8):
         assert np.all(ex8.scores > 1.0 - ex8.params["epsilon"])
-        rescored = det8.score_normalized(ex8.points)
+        rescored = network.forward_batch(det8.model, ex8.points)
         assert np.all(rescored > 1.0 - ex8.params["epsilon"])
 
     def test_cluster_coverage(self):

@@ -82,32 +82,30 @@ def case(request, bench8, det8, ex8, bench16, det16, ex16):
 
 def test_explain_matches_per_row_loop(case):
     (_, _, test), det, ex, metric, kind = case
-    x_raw = np.array([t.x for t in test])  # faults and normal rows
+    x_raw = test.x  # faults and normal rows
     # more rows than one block holds, on the path and in the exemplar lookup
     per_block = network.ROWS // (START_STEPS if kind == "straight" else det.dims + 1)
     assert len(x_raw) > max(per_block, network.ROWS // len(ex))
 
     batched = explain(det, ex, x_raw, metric=metric, path=kind)
+    refs = [reference_explain(det, ex, row, metric, kind) for row in x_raw]
+    ref = {key: np.array([r[key] for r in refs]) for key in refs[0] if key != "flags"}
     assert len(batched) == len(x_raw)
-    steps = set()
-    for e, row in zip(batched, x_raw):
-        ref = reference_explain(det, ex, row, metric, kind)
-        np.testing.assert_array_equal(e.x, ref["x"])
-        np.testing.assert_array_equal(e.baseline, ref["baseline"])
-        assert e.flags == ref["flags"]
-        assert e.path.kind == kind and e.path.steps == ref["m"]
-        steps.add(ref["m"])
-        for key in ("raw", "blame"):
-            np.testing.assert_allclose(getattr(e, key), ref[key], rtol=0, atol=TOL)
-        for key in ("score", "baseline_score", "gap"):
-            assert abs(getattr(e, key) - ref[key]) <= TOL
+    np.testing.assert_array_equal(batched.x, ref["x"])
+    np.testing.assert_array_equal(batched.baseline, ref["baseline"])
+    assert [r["flags"] for r in batched.records()] == [r["flags"] for r in refs]
+    assert batched.path == kind
+    np.testing.assert_array_equal(batched.steps, ref["m"])
+    for key in ("raw", "blame", "score", "baseline_score", "gap"):
+        np.testing.assert_allclose(getattr(batched, key), ref[key], rtol=0, atol=TOL)
     if kind == "straight":
-        assert steps == {64, 128}  # rows that double ride along in the same call
+        # rows that double ride along in the same call
+        assert set(ref["m"].tolist()) == {64, 128}
 
 
 def test_surrogate_matches_per_row_fit(case):
     (_, _, test), det, _, _, _ = case
-    x_norm = det.normalizer.apply(np.array([t.x for t in test]))
+    x_norm = det.normalizer.apply(test.x)
     cfg = SurrogateConfig(samples=25 * det.dims, seed=11)
     assert len(x_norm) > network.ROWS // cfg.samples
     batched = surrogate_attribution(det, x_norm, cfg)
