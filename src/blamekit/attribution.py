@@ -10,7 +10,10 @@ total mass at most 1.
 
 Everything here takes a matrix of rows, one observation per row, and
 hands the network blocks of at most network.ROWS points, so a file costs
-one network call per block rather than several per row. Results come
+one network call per block rather than several per row. The straight
+path's points are affine in the row, so they reach the network as first-
+layer pre-activations built from two products per row (see `network`);
+the axis path scores its exact corners in input space. Results come
 back the same way: `explain` returns one `Explanations` of column
 arrays, row i of each belonging to input row i. A single observation is
 a one-row matrix: `explain(det, ex, x[None]).blame[0]`.
@@ -44,9 +47,11 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
     ties), so each dimension's integral is exactly the score difference
     across its own segment, and `steps` is unused. `kind` "straight" is
     the L2 line, integrated by a midpoint Riemann sum with `steps` nodes;
-    `explain` doubles them as needed. Path points go to the network in
-    blocks of whole rows, at most network.ROWS points per call (or one
-    row's points, if more).
+    `explain` doubles them as needed. Its nodes go to the network as
+    first-layer pre-activations c + t·e (c = x·W1 + b1, e = (x' - x)·W1),
+    and the mean of dF/dz1 over a row's nodes is taken back through W1ᵀ
+    once. Points go to the network in blocks of whole rows, at most
+    network.ROWS points per call (or one row's points, if more).
     """
     if kind not in PATH_KINDS:
         raise ValueError(f"path kind must be one of {PATH_KINDS}, got {kind!r}")
@@ -63,13 +68,16 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
     diff = x_base - x
     raw = np.empty_like(diff)
     if kind == "straight":
-        mids = (np.arange(steps) + 0.5) / steps
+        w1 = det.model.layers[0].w
+        c = network.preactivation(det.model, x)
+        e = np.dot(diff, w1)
+        mids = (np.arange(steps) + 0.5)[:, None] / steps
         per = max(1, network.ROWS // steps)
         for lo in range(0, len(x), per):
-            d = diff[lo:lo + per]
-            points = x[lo:lo + per, None, :] + mids[:, None] * d[:, None, :]
-            grads = network.input_gradient_batch(det.model, points.reshape(-1, dims))
-            raw[lo:lo + per] = d * grads.reshape(len(d), steps, dims).mean(axis=1)
+            z1 = c[lo:lo + per, None, :] + mids * e[lo:lo + per, None, :]
+            grads = network.grad_pre(det.model, z1.reshape(-1, w1.shape[1]))
+            mean = grads.reshape(len(z1), steps, -1).mean(axis=1)
+            raw[lo:lo + per] = diff[lo:lo + per] * np.dot(mean, w1.T)
         return raw
 
     # a stable sort keeps the tie-break, and so the staircase, deterministic;

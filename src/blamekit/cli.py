@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -62,6 +63,25 @@ def _write_runlog(out_path, command: str, flags: dict, seeds: dict, inputs: list
         "inputs": {str(p): _sha256(p) for p in inputs},
     }
     Path(str(out_path) + ".runlog.json").write_text(json.dumps(log, indent=2, sort_keys=True))
+
+
+def _write_all(texts: dict) -> None:
+    """Write each path's text, or none of them: every text goes to a temp
+    file next to its path first, and the temps are renamed into place only
+    once all are written."""
+    temps = []
+    try:
+        for path, text in texts.items():
+            tmp = Path(f"{path}.tmp")
+            temps.append((tmp, path))
+            tmp.write_text(text)
+    except OSError as exc:
+        for tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
+        # name the output the user asked for, not its temp file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    for tmp, path in temps:
+        os.replace(tmp, path)
 
 
 def cmd_benchmark(args) -> int:
@@ -159,10 +179,11 @@ def cmd_evaluate(args) -> int:
         methods[name] = available[name]
 
     reports = evaluate_methods(test, methods)
-    Path(args.out).write_text(reports_to_json(reports))
     table = format_table(reports)
+    texts = {args.out: reports_to_json(reports)}
     if args.table:
-        Path(args.table).write_text(table + "\n")
+        texts[args.table] = table + "\n"
+    _write_all(texts)
     _write_runlog(args.out, "evaluate", vars(args),
                   {"seed": args.seed, "surrogate": sur_seed},
                   [args.detector, args.exemplars, args.test_csv])

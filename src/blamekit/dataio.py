@@ -153,13 +153,14 @@ class Normalizer:
 
 
 def load_artifact(path, from_dict, what: str):
-    """Read the JSON artifact at path through from_dict; a missing key or
-    a wrong type is a ParseError naming the file and `what` it should be."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    """Read the JSON artifact at path through from_dict; a file that is not
+    UTF-8 JSON, a missing key or a wrong type is a ParseError naming the
+    file and `what` it should be."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
         return from_dict(d)
-    except (KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: not {what} artifact ({exc!r})") from None
 
 

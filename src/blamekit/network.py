@@ -4,6 +4,14 @@ The detector is a small fully-connected net with smooth activations
 (logistic or tanh) and a single logistic output unit, so the score lies
 in (0,1) and the input gradient is defined everywhere. Backprop is
 hand-rolled for this fixed architecture; no autodiff framework.
+
+The network is split at the first layer's pre-activation z1 = x·W1 + b1.
+`forward_pre` and `grad_pre` score and differentiate from z1, and
+`preactivation` validates an input batch and computes its z1.
+`forward_batch` and `input_gradient_batch` are the input-space wrappers
+over them (the gradient multiplies dF/dz1 by W1ᵀ). Because the first layer is affine, a caller that scores points
+affine in x (a shared perturbation cloud, a straight path) can build
+their z1 from a few per-row products instead of one per point.
 """
 
 from __future__ import annotations
@@ -17,8 +25,9 @@ from .errors import InputError, NumericError, ShapeError, TrainingError
 ACTIVATIONS = ("logistic", "tanh")
 
 # rows per batched call over a file (IG path points, surrogate samples,
-# row-exemplar pairs): at widths up to 24 every array stays under glibc's
-# 128 KiB mmap threshold; 4 096-row calls page-faulted and ran ~2x slower
+# row-exemplar pairs): the block arrays are points x first hidden width (or
+# x D), and at widths up to 24 each stays under glibc's 128 KiB mmap
+# threshold; 4 096-row calls page-faulted and ran ~2x slower
 ROWS = 512
 
 # products go through np.dot, not @: bit-identical here, with less per-call
@@ -149,16 +158,44 @@ def _check_input(model: NetworkModel, x) -> np.ndarray:
 
 def _activations(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
     """Every layer's output for a (N, D) batch, the input first."""
-    acts = [x]
-    for layer in model.layers:
+    first = model.layers[0]
+    return [x, *_activations_pre(model, np.dot(x, first.w) + first.b)]
+
+
+def _activations_pre(model: NetworkModel, z1: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output from the first layer's (N, H1) pre-activation."""
+    acts = [_act(z1, model.layers[0].act)]
+    for layer in model.layers[1:]:
         acts.append(_act(np.dot(acts[-1], layer.w) + layer.b, layer.act))
     return acts
 
 
+def preactivation(model: NetworkModel, x) -> np.ndarray:
+    """z1 = x·W1 + b1 for a validated (N, D) batch."""
+    x = _check_input(model, np.atleast_2d(x))
+    first = model.layers[0]
+    return np.dot(x, first.w) + first.b
+
+
+def forward_pre(model: NetworkModel, z1: np.ndarray) -> np.ndarray:
+    """Scores from the first layer's (N, H1) pre-activation; shape (N,)."""
+    return _activations_pre(model, z1)[-1][:, 0]
+
+
+def grad_pre(model: NetworkModel, z1: np.ndarray) -> np.ndarray:
+    """dF/dz1 for each row of the first layer's (N, H1) pre-activation."""
+    activations = _activations_pre(model, z1)
+    # backprop dF down to z1 (no parameter gradients needed here)
+    delta = np.ones((len(z1), 1))
+    for i in range(len(model.layers) - 1, 0, -1):
+        delta = np.dot(delta * _act_deriv(activations[i], model.layers[i].act),
+                       model.layers[i].w.T)
+    return delta * _act_deriv(activations[0], model.layers[0].act)
+
+
 def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """Scores for a (N, D) batch; returns shape (N,)."""
-    x = _check_input(model, np.atleast_2d(x))
-    return _activations(model, x)[-1][:, 0]
+    return forward_pre(model, preactivation(model, x))
 
 
 def forward(model: NetworkModel, x) -> float:
@@ -170,13 +207,7 @@ def forward(model: NetworkModel, x) -> float:
 
 def input_gradient_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """dF/dx for each row of a (N, D) batch, exact reverse mode."""
-    x = _check_input(model, np.atleast_2d(x))
-    activations = _activations(model, x)
-    # backprop dF w.r.t. inputs only (no parameter gradients needed here)
-    delta = np.ones((x.shape[0], 1))
-    for layer, a in zip(reversed(model.layers), reversed(activations[1:])):
-        delta = np.dot(delta * _act_deriv(a, layer.act), layer.w.T)
-    return delta
+    return np.dot(grad_pre(model, preactivation(model, x)), model.layers[0].w.T)
 
 
 def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:

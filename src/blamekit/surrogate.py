@@ -5,10 +5,12 @@ perturbations around each observation; the scaled absolute coefficients
 then pass through the usual blame normalization. This is the
 model-agnostic stand-in the evaluation harness compares IG against.
 
-Every row of a call shares one seeded perturbation draw, so the kernel
-weights and the normal matrix are built once per call, the perturbed
-points are scored in blocks of at most network.ROWS, and one solve
-serves all rows.
+Every row of a call shares one seeded perturbation cloud z, so the
+kernel weights and the normal matrix are built once per call and one
+solve serves all rows. The cloud is scored in the first layer's
+pre-activation space: z·W1 once per call and x·W1 + b1 once per row, so
+row x's point x + z enters the network as (x·W1 + b1) + z·W1, in blocks
+of at most network.ROWS points.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def surrogate_coefficients(det: Detector, x_norm: np.ndarray,
     if cfg.samples < 10 * dims:
         raise InputError(f"need at least {10 * dims} samples for D={dims}, got {cfg.samples}")
 
+    cw = network.preactivation(det.model, x_norm)
     rng = np.random.default_rng(cfg.seed)
     z = rng.normal(0.0, cfg.sigma, size=(cfg.samples, dims))
     d2 = np.sum(z * z, axis=1)
@@ -52,11 +55,14 @@ def surrogate_coefficients(det: Detector, x_norm: np.ndarray,
     design = np.hstack([np.ones((cfg.samples, 1)), z])
     a = design.T @ (w[:, None] * design) + 1e-6 * np.eye(dims + 1)
     b = np.empty((dims + 1, len(x_norm)))
+    weighted = design.T * w
+    # x + z enters the first (affine) layer as cw[row] + zW
+    zw = np.dot(z, det.model.layers[0].w)
     per = max(1, network.ROWS // cfg.samples)
     for lo in range(0, len(x_norm), per):
-        points = x_norm[lo:lo + per, None, :] + z
-        scores = network.forward_batch(det.model, points.reshape(-1, dims)).reshape(-1, cfg.samples)
-        b[:, lo:lo + per] = design.T @ (w * scores).T
+        z1 = cw[lo:lo + per, None, :] + zw
+        scores = network.forward_pre(det.model, z1.reshape(-1, zw.shape[1]))
+        b[:, lo:lo + per] = np.dot(weighted, scores.reshape(-1, cfg.samples).T)
     return np.linalg.solve(a, b)[1:].T
 
 

@@ -67,6 +67,18 @@ class TestIntegratedGradients:
         with pytest.raises(ShapeError):
             integrated_gradients(det, np.zeros((1, 2)), np.zeros((1, 3)))
 
+    def test_width_other_than_the_detectors(self):
+        det = unit_detector([1.0, 1.0])
+        with pytest.raises(ShapeError):
+            integrated_gradients(det, np.zeros((2, 3)), np.ones((2, 3)), "straight")
+
+    def test_non_finite_row(self):
+        det = unit_detector([1.0, 1.0])
+        x = np.zeros((2, 2))
+        x[1, 0] = np.nan
+        with pytest.raises(InputError):
+            integrated_gradients(det, x, np.ones((2, 2)), "straight")
+
 
 def staircase_quadrature(det, x, xb, m):
     """Midpoint rule along the axis path, one segment per displaced

@@ -182,6 +182,24 @@ class TestExplainCommand:
         assert err.startswith("error:") and str(wrong) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"],
+                             ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("position, what", [(0, "a detector"),
+                                                (1, "an exemplar-set")])
+    def test_non_json_artifact_exit_2(self, pipeline, tmp_path, capsys, content,
+                                      position, what):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        artifacts = [str(pipeline / "detector.json"), str(pipeline / "exemplars.json")]
+        artifacts[position] = str(bad)
+        out = tmp_path / "e.jsonl"
+        rc = main(["explain", *artifacts, str(small_input(pipeline, tmp_path)),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not {what} artifact")
+        assert not out.exists()
+
 
 class TestBadInput:
     """Bad input exits 2 with its location and leaves no output file."""
@@ -310,6 +328,17 @@ class TestEvaluateCommand:
         names = {r["method"] for r in data}
         assert names == {"ig", "surrogate"}
         assert "method" in table.read_text()
+
+    def test_unwritable_table_leaves_no_output(self, pipeline, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        table = tmp_path / "missing" / "t.txt"
+        rc = main(["evaluate", str(pipeline / "detector.json"),
+                   str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
+                   "--out", str(report), "--table", str(table)])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(f"{str(table)!r}\n")
+        # no report, no run log and no temp file
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_method_exit_2(self, pipeline, tmp_path):
         rc = main(["evaluate", str(pipeline / "detector.json"),

@@ -1,10 +1,13 @@
 """The batched explain and surrogate against per-row reference loops.
 
 `explain` and `surrogate_attribution` take a matrix of rows and hand the
-network blocks of at most `network.ROWS` points. The references below
-handle one row at a time with their own network calls, the way the
-pipeline did before it was batched. The inputs span several blocks, so
-block boundaries are crossed. The tolerance, 1e-12, allows for BLAS
+network blocks of at most `network.ROWS` points, as first-layer
+pre-activations on the straight path and in the surrogate. The
+references below handle one row at a time with their own input-space
+network calls, the way the pipeline did before it was batched. The
+inputs span several blocks, so block boundaries are crossed, and one
+detector has two hidden layers, so the network's loop over the layers
+after the first runs too. The tolerance, 1e-12, allows for BLAS
 rounding that depends on where a row sits in a batch; anything
 structural (a wrong exemplar, a wrong step count, a row scattered to the
 wrong place) is far larger.
@@ -13,10 +16,11 @@ wrong place) is far larger.
 import numpy as np
 import pytest
 
-from blamekit import network
+from blamekit import TrainConfig, fit_detector, network, select_baseline
 from blamekit.attribution import GAP_TOLERANCE, MAX_STEPS, START_STEPS, explain
 from blamekit.exemplar import distances
 from blamekit.surrogate import SurrogateConfig, surrogate_attribution
+from conftest import NS_CFG
 from helpers import steepened
 
 TOL = 1e-12
@@ -71,17 +75,34 @@ def reference_surrogate(det, x_norm, cfg):
     return reference_blame(np.abs(coef) * cfg.sigma)
 
 
-@pytest.fixture(params=["8d-straight-L2", "16d-axis-L1"])
+@pytest.fixture(scope="module")
+def deep8(bench8):
+    """A briefly trained two-hidden-layer detector on bench8, and its exemplars."""
+    _, train, _ = bench8
+    det = fit_detector(train, NS_CFG, TrainConfig(learning_rate=0.2, epochs=20,
+                                                  batch_size=64, hidden=(12, 7), seed=2))
+    return det, select_baseline(det.normalizer.apply(train.values), det,
+                                n=5, epsilon=0.1, seed=3)
+
+
+@pytest.fixture(params=["8d-straight-L2", "8d-deep-straight-L2", "16d-axis-L1"])
 def case(request, bench8, det8, ex8, bench16, det16, ex16):
+    """bench, detector, exemplars, metric, path kind and the step counts
+    the rows end at."""
     if request.param == "8d-straight-L2":
         # det8 meets the gap tolerance at 64 steps on every benchmark row;
         # a steeper copy makes some rows double, so both kinds share a call
-        return bench8, steepened(det8, 3.0), ex8, "L2", "straight"
-    return bench16, det16, ex16, "L1", "axis"
+        return bench8, steepened(det8, 3.0), ex8, "L2", "straight", {64, 128}
+    if request.param == "8d-deep-straight-L2":
+        # not steepened: a steeper copy's surrogate blame is too ill-conditioned
+        # on some rows for the batched and per-row fits to agree within TOL
+        det, ex = request.getfixturevalue("deep8")
+        return bench8, det, ex, "L2", "straight", {64}
+    return bench16, det16, ex16, "L1", "axis", {START_STEPS}
 
 
 def test_explain_matches_per_row_loop(case):
-    (_, _, test), det, ex, metric, kind = case
+    (_, _, test), det, ex, metric, kind, steps_used = case
     x_raw = test.x  # faults and normal rows
     # more rows than one block holds, on the path and in the exemplar lookup
     per_block = network.ROWS // (START_STEPS if kind == "straight" else det.dims + 1)
@@ -98,13 +119,11 @@ def test_explain_matches_per_row_loop(case):
     np.testing.assert_array_equal(batched.steps, ref["m"])
     for key in ("raw", "blame", "score", "baseline_score", "gap"):
         np.testing.assert_allclose(getattr(batched, key), ref[key], rtol=0, atol=TOL)
-    if kind == "straight":
-        # rows that double ride along in the same call
-        assert set(ref["m"].tolist()) == {64, 128}
+    assert set(ref["m"].tolist()) == steps_used
 
 
 def test_surrogate_matches_per_row_fit(case):
-    (_, _, test), det, _, _, _ = case
+    (_, _, test), det, _, _, _, _ = case
     x_norm = det.normalizer.apply(test.x)
     cfg = SurrogateConfig(samples=25 * det.dims, seed=11)
     assert len(x_norm) > network.ROWS // cfg.samples

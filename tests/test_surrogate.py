@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blamekit.attribution import blame
-from blamekit.errors import InputError
+from blamekit.errors import InputError, ShapeError
 from blamekit.surrogate import SurrogateConfig, surrogate_attribution, surrogate_coefficients
 from helpers import unit_detector
 
@@ -31,6 +31,18 @@ class TestSurrogate:
         det = unit_detector(np.ones(5))
         with pytest.raises(InputError):
             surrogate_attribution(det, np.full((1, 5), 0.5), SurrogateConfig(samples=49, seed=0))
+
+    def test_wrong_width(self):
+        det = unit_detector(np.ones(3))
+        with pytest.raises(ShapeError):
+            surrogate_coefficients(det, np.full((2, 4), 0.5), SurrogateConfig(samples=40, seed=0))
+
+    def test_non_finite_row(self):
+        det = unit_detector(np.ones(3))
+        x = np.full((2, 3), 0.5)
+        x[1, 2] = np.inf
+        with pytest.raises(InputError):
+            surrogate_coefficients(det, x, SurrogateConfig(samples=30, seed=0))
 
     def test_deterministic(self):
         det = unit_detector(np.array([1.0, -2.0]))
