@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, load_telemetry, save_telemetry
+from .dataio import Dataset, load_telemetry
 from .errors import ConfigError, ParseError
 
 ENVELOPE_Z = 3.29  # two-sided 99.9% quantile of the standard normal
@@ -166,20 +166,11 @@ def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, LabeledSet]
     return train_ds, test
 
 
-def save_benchmark(train: Dataset, test: LabeledSet, train_path, test_path) -> None:
-    save_telemetry(train, train_path)
-    names = train.names
-    extra_names = ["label"] + [f"beta_{n}" for n in names]
-    extra = np.hstack([test.anomalous[:, None].astype(float), test.beta])
-    save_telemetry(Dataset(names, test.x), test_path, extra_names=extra_names,
-                   extra_values=extra)
-
-
 def load_labeled(path, expected: list[str] | None = None) -> LabeledSet:
-    """Read a test CSV written by save_benchmark, whose value columns (the
-    ones before 'label') must equal `expected` if given. A label other
-    than 0 or 1, or a beta that breaks the LabeledSet contract, is a
-    ParseError naming the file and the row."""
+    """Read a test CSV written by the benchmark command, whose value
+    columns (the ones before 'label') must equal `expected` if given. A
+    label other than 0 or 1, or a beta that breaks the LabeledSet contract,
+    is a ParseError naming the file and the row."""
     ds = load_telemetry(path)
     try:
         label_col = ds.names.index("label")

@@ -2,13 +2,15 @@
 
 Every command writes a run log next to its primary output (flags,
 derived seeds, SHA-256 digests of inputs) so any artifact can be
-reproduced exactly. Exit codes: 0 ok, 2 input/parse error, 3
+reproduced exactly, and writes all its outputs or, on failure, none.
+Exit codes: 0 ok, 2 input/parse error or unwritable output, 3
 training/numeric failure, 4 empty baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import benchmark as bench
 from .attribution import explain
-from .dataio import load_telemetry
+from .dataio import Dataset, load_telemetry, save_telemetry
 from .detector import Detector, NegativeSamplingConfig, fit_detector
 from .errors import (
     ConfigError,
@@ -55,33 +57,39 @@ def _fan_out(seed: int, role: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _write_runlog(out_path, command: str, flags: dict, seeds: dict, inputs: list) -> None:
-    log = {
+def _runlog(out_path, command: str, flags: dict, seeds: dict, inputs: list) -> dict:
+    """The run log of a command whose primary output is out_path (flags,
+    seeds, SHA-256 of each input), as a {path: writer} entry of _write_all."""
+    text = json.dumps({
         "command": command,
         "flags": {k: v for k, v in flags.items() if k not in ("func", "command")},
         "seeds": seeds,
         "inputs": {str(p): _sha256(p) for p in inputs},
-    }
-    Path(str(out_path) + ".runlog.json").write_text(json.dumps(log, indent=2, sort_keys=True))
+    }, indent=2, sort_keys=True)
+    return {f"{out_path}.runlog.json": lambda fh: fh.write(text)}
 
 
-def _write_all(texts: dict) -> None:
-    """Write each path's text, or none of them: every text goes to a temp
-    file next to its path first, and the temps are renamed into place only
-    once all are written."""
+def _write_all(writers: dict) -> None:
+    """Write every output or none: each path's writer gets a temp file next
+    to it (UTF-8, newlines untranslated), renamed into place once all are
+    written. A failure removes every temp, leaves earlier files as they
+    were, and raises an OSError naming the path asked for."""
     temps = []
     try:
-        for path, text in texts.items():
-            tmp = Path(f"{path}.tmp")
-            temps.append((tmp, path))
-            tmp.write_text(text)
+        for path, write in writers.items():
+            with open(f"{path}.tmp", "w", encoding="utf-8", newline="") as fh:
+                temps.append(fh.name)
+                write(fh)
+        for path in writers:  # a rename cannot replace a directory with a file
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp in zip(writers, temps):
+            os.replace(tmp, path)
     except OSError as exc:
-        for tmp, _ in temps:
-            tmp.unlink(missing_ok=True)
-        # name the output the user asked for, not its temp file
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
-    for tmp, path in temps:
-        os.replace(tmp, path)
+    finally:
+        for tmp in temps:  # gone already once renamed
+            Path(tmp).unlink(missing_ok=True)
 
 
 def cmd_benchmark(args) -> int:
@@ -95,11 +103,17 @@ def cmd_benchmark(args) -> int:
         seed=args.seed,
     )
     train_ds, test = bench.generate_fault_benchmark(cfg)
+
+    def write_test(fh):  # value, label and beta columns, built once train.csv is written
+        names = train_ds.names
+        save_telemetry(Dataset([*names, "label", *(f"beta_{n}" for n in names)],
+                               np.hstack([test.x, test.anomalous[:, None], test.beta])), fh)
+
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_path, test_path = out / "train.csv", out / "test.csv"
-    bench.save_benchmark(train_ds, test, train_path, test_path)
-    _write_runlog(train_path, "benchmark", vars(args), {"seed": args.seed}, [])
+    _write_all({train_path: lambda fh: save_telemetry(train_ds, fh), test_path: write_test,
+                **_runlog(train_path, "benchmark", vars(args), {"seed": args.seed}, [])})
     print(f"wrote {train_path} ({len(train_ds)} rows) and {test_path} ({len(test)} rows)")
     return EXIT_OK
 
@@ -117,10 +131,9 @@ def cmd_train(args) -> int:
         seed=train_seed,
     )
     det = fit_detector(data, ns_cfg, train_cfg)
-    det.save(args.out)
-    _write_runlog(args.out, "train", vars(args),
-                  {"seed": args.seed, "negative_sampling": ns_seed, "training": train_seed},
-                  [args.train_csv])
+    seeds = {"seed": args.seed, "negative_sampling": ns_seed, "training": train_seed}
+    _write_all({args.out: lambda fh: json.dump(det.to_dict(), fh),
+                **_runlog(args.out, "train", vars(args), seeds, [args.train_csv])})
     print(f"wrote {args.out} (held-out AUC: {det.meta['auc']})")
     return EXIT_OK
 
@@ -133,9 +146,10 @@ def cmd_baseline(args) -> int:
         det.normalizer.apply(data.values), det,
         n=args.n, epsilon=args.epsilon, eps=args.eps, min_pts=args.minpts, seed=seed,
     )
-    ex.save(args.out)
-    _write_runlog(args.out, "baseline", vars(args), {"seed": args.seed, "baseline": seed},
-                  [args.detector, args.train_csv])
+    _write_all({args.out: lambda fh: json.dump(ex.to_dict(), fh),
+                **_runlog(args.out, "baseline", vars(args),
+                          {"seed": args.seed, "baseline": seed},
+                          [args.detector, args.train_csv])})
     print(f"wrote {args.out} ({len(ex)} exemplars, "
           f"{len(np.unique(ex.clusters))} clusters)")
     return EXIT_OK
@@ -145,14 +159,12 @@ def cmd_explain(args) -> int:
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
     data = load_telemetry(args.input_csv, det.normalizer.names)
-    # build every record first, so a row that fails leaves no partial file
     expl = explain(det, ex, data.values, metric=args.metric, path=args.path,
                    timestamps=data.timestamps)
     lines = [json.dumps(r) + "\n" for r in expl.records()]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    _write_runlog(args.out, "explain", vars(args), {},
-                  [args.detector, args.exemplars, args.input_csv])
+    _write_all({args.out: lambda fh: fh.writelines(lines),
+                **_runlog(args.out, "explain", vars(args), {},
+                          [args.detector, args.exemplars, args.input_csv])})
     print(f"wrote {args.out} ({len(data)} explanations)")
     return EXIT_OK
 
@@ -180,13 +192,14 @@ def cmd_evaluate(args) -> int:
 
     reports = evaluate_methods(test, methods)
     table = format_table(reports)
-    texts = {args.out: reports_to_json(reports)}
+    report = reports_to_json(reports)
+    writers = {args.out: lambda fh: fh.write(report),
+               **_runlog(args.out, "evaluate", vars(args),
+                         {"seed": args.seed, "surrogate": sur_seed},
+                         [args.detector, args.exemplars, args.test_csv])}
     if args.table:
-        texts[args.table] = table + "\n"
-    _write_all(texts)
-    _write_runlog(args.out, "evaluate", vars(args),
-                  {"seed": args.seed, "surrogate": sur_seed},
-                  [args.detector, args.exemplars, args.test_csv])
+        writers[args.table] = lambda fh: fh.write(table + "\n")
+    _write_all(writers)
     print(table)
     return EXIT_OK
 
@@ -259,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, InputError, ConfigError, ShapeError,
+    except (OSError, ParseError, InputError, ConfigError, ShapeError,
             ValueError) as exc:  # the config objects raise ValueError on a bad flag
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

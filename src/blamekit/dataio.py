@@ -1,9 +1,11 @@
-"""Telemetry CSV ingestion, min-max normalization and JSON artifact reading.
+"""Telemetry CSV reading and writing, normalization, JSON artifact reading.
 
 CSV contract: first row is a header; an optional leading column named
 "ts" carries ISO 8601 UTC timestamps; every other column is real-valued
 with '.' decimal separator. Rows with blanks, non-numeric or non-finite
 (nan, inf) cells are rejected with the offending location.
+save_telemetry writes to a text handle that its caller opened (in the
+CLI, through cli._write_all), not to a path.
 """
 
 from __future__ import annotations
@@ -93,18 +95,16 @@ def load_telemetry(path, expected: list[str] | None = None) -> Dataset:
     return Dataset(names, np.array(rows, dtype=float).reshape(len(rows), len(names)), stamps)
 
 
-def save_telemetry(ds: Dataset, path, extra_names=(), extra_values=None) -> None:
-    """Write a Dataset back to CSV, floats as str(float); the (N, k) extra columns go after the dims."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        has_ts = any(t is not None for t in ds.timestamps)
-        header = (["ts"] if has_ts else []) + list(ds.names) + list(extra_names)
-        writer.writerow(header)
-        values = ds.values if extra_values is None else np.hstack([ds.values, extra_values])
-        rows = values.tolist()
-        if has_ts:
-            rows = [[t.isoformat(), *row] for t, row in zip(ds.timestamps, rows)]
-        writer.writerows(rows)
+def save_telemetry(ds: Dataset, fh) -> None:
+    """Write a Dataset as CSV to the text handle fh, floats as str(float).
+    Open fh with newline="" so the csv module's \r\n row ends stay as written."""
+    writer = csv.writer(fh)
+    has_ts = any(t is not None for t in ds.timestamps)
+    writer.writerow((["ts"] if has_ts else []) + list(ds.names))
+    rows = ds.values.tolist()
+    if has_ts:
+        rows = [[t.isoformat(), *row] for t, row in zip(ds.timestamps, rows)]
+    writer.writerows(rows)
 
 
 @dataclass

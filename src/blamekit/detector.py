@@ -8,7 +8,6 @@ as an anomaly score: near 1 normal, near 0 anomalous.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,8 @@ class NegativeSamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ratio <= 0:
-            raise ValueError("negative ratio must be > 0")
+        if not np.isfinite(self.ratio) or self.ratio <= 0:
+            raise ValueError("negative ratio must be finite and > 0")
         if not 0.0 <= self.envelope < 1.0:
             raise ValueError("envelope expansion must be in [0, 1)")
 
@@ -61,10 +60,6 @@ class Detector:
             Normalizer.from_dict(d["normalizer"]),
             dict(d["meta"]),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
 
     @classmethod
     def load(cls, path) -> "Detector":

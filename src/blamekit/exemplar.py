@@ -8,7 +8,6 @@ then draw up to n points per cluster at random. The nearest exemplar
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -75,10 +74,6 @@ class ExemplarSet:
             dict(d.get("params", {})),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
     @classmethod
     def load(cls, path) -> "ExemplarSet":
         return load_artifact(path, cls.from_dict, "an exemplar-set")
@@ -105,6 +100,10 @@ def select_baseline(
         raise ValueError("n must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
+    if eps is not None and not eps > 0:
+        raise ValueError("DBSCAN eps must be > 0")
+    if min_pts is not None and min_pts < 1:
+        raise ValueError("DBSCAN min_pts must be >= 1")
 
     scores = network.forward_batch(det.model, x_norm)
     mask = scores > 1.0 - epsilon

@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 
+from blamekit.cli import _write_all
 from blamekit.dataio import Normalizer
 from blamekit.detector import Detector
 from blamekit.network import Layer, NetworkModel
+
+
+def save_artifact(obj, path):
+    """Write a detector's or exemplar set's JSON artifact as the CLI does."""
+    _write_all({path: lambda fh: json.dump(obj.to_dict(), fh)})
 
 
 def unit_detector(w, b=0.0):

@@ -48,6 +48,13 @@ class TestBenchmarkCommand:
         assert ((tmp_path / "a" / "test.csv").read_bytes()
                 == (tmp_path / "b" / "test.csv").read_bytes())
 
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        out.write_text("not a directory")
+        assert main(["benchmark", "--out-dir", str(out), "--dims", "4"]) == 2
+        assert capsys.readouterr().err.endswith(f"{str(out)!r}\n")
+        assert list(tmp_path.iterdir()) == [out]
+
 
 class TestTrainCommand:
     def test_missing_file_exit_2(self, tmp_path, capsys):
@@ -347,6 +354,48 @@ class TestEvaluateCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize("blocked", ["output", "runlog"])
+@pytest.mark.parametrize("command", ["benchmark", "train", "baseline", "explain", "evaluate"])
+def test_unwritable_path_keeps_earlier_outputs(pipeline, tmp_path, capsys, command, blocked):
+    """A command whose output or run-log path cannot be written exits 2
+    naming it, and leaves no temp file and every earlier output as it was:
+    a successful run, then a rerun whose every output would differ, with
+    one output or run-log path turned into a directory."""
+    work, inp = tmp_path / "work", small_input(pipeline, tmp_path)
+    work.mkdir()
+    out = work if command == "benchmark" else work / "out"
+    det, ex = str(pipeline / "detector.json"), str(pipeline / "exemplars.json")
+
+    def argv(seed):
+        s = str(seed)
+        return {
+            "benchmark": ["benchmark", "--out-dir", str(out), "--dims", "4",
+                          "--n-normal", "50", "--n-test-normal", "10",
+                          "--n-faults", "20", "--seed", s],
+            "train": ["train", str(inp), "--out", str(out), "--epochs", "1",
+                      "--seed", s],
+            "baseline": ["baseline", det, str(pipeline / "train.csv"),
+                         "--out", str(out), "--seed", s],
+            "explain": ["explain", det, ex, str(inp), "--out", str(out),
+                        "--metric", ("L2", "L1")[seed]],
+            "evaluate": ["evaluate", det, ex, str(pipeline / "test.csv"),
+                         "--out", str(out), "--table", f"{out}.txt", "--seed", s],
+        }[command]
+
+    assert main(argv(0)) == 0
+    primary = work / "train.csv" if command == "benchmark" else out
+    target = primary if blocked == "output" else Path(f"{primary}.runlog.json")
+    target.unlink()
+    target.mkdir()
+    earlier = {p: p.read_bytes() for p in work.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert main(argv(1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.endswith(f"{str(target)!r}\n")
+    assert not list(work.glob("*.tmp"))
+    assert {p: p.read_bytes() for p in work.iterdir() if p.is_file()} == earlier
+
+
 class TestBadNumericFlags:
     """An out-of-range numeric flag is bad input: exit 2, one error line."""
 
@@ -355,6 +404,7 @@ class TestBadNumericFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+        return err
 
     def test_train_hidden_zero(self, pipeline, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -371,3 +421,23 @@ class TestBadNumericFlags:
         out = tmp_path / "d.json"
         self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
                     "--lr", "0"], out, capsys)
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan"])
+    def test_train_ratio_not_finite(self, pipeline, tmp_path, capsys, ratio):
+        out = tmp_path / "d.json"
+        assert "ratio" in self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
+                                      "--ratio", ratio], out, capsys)
+
+    @pytest.mark.parametrize("eps", ["-0.2", "0"])
+    def test_baseline_eps_not_positive(self, pipeline, tmp_path, capsys, eps):
+        out = tmp_path / "ex.json"
+        assert "eps" in self.check(["baseline", str(pipeline / "detector.json"),
+                                    str(pipeline / "train.csv"), "--out", str(out),
+                                    "--eps", eps], out, capsys)
+
+    @pytest.mark.parametrize("minpts", ["0", "-3"])
+    def test_baseline_minpts_below_one(self, pipeline, tmp_path, capsys, minpts):
+        out = tmp_path / "ex.json"
+        assert "min_pts" in self.check(["baseline", str(pipeline / "detector.json"),
+                                        str(pipeline / "train.csv"), "--out", str(out),
+                                        "--minpts", minpts], out, capsys)

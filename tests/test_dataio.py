@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blamekit.cli import _write_all
 from blamekit.dataio import (
     Dataset,
     Normalizer,
@@ -13,6 +14,11 @@ from blamekit.dataio import (
     save_telemetry,
 )
 from blamekit.errors import InputError, ParseError, ShapeError
+
+
+def save(ds, path):
+    """Write ds as CSV through the CLI's writer."""
+    _write_all({path: lambda fh: save_telemetry(ds, fh)})
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -54,7 +60,7 @@ class TestLoadTelemetry:
 
     def test_round_trip(self, tmp_path):
         ds = Dataset(["a", "b"], np.array([[0.125, -3.5], [7.0, 0.1]]))
-        save_telemetry(ds, tmp_path / "out.csv")
+        save(ds, tmp_path / "out.csv")
         back = load_telemetry(tmp_path / "out.csv")
         np.testing.assert_array_equal(ds.values, back.values)
         assert back.names == ["a", "b"]
@@ -62,9 +68,9 @@ class TestLoadTelemetry:
     def test_round_trip_with_timestamps_and_extra_columns(self, tmp_path):
         stamps = [datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc),
                   datetime(2024, 1, 2, 3, 4, 6, tzinfo=timezone.utc)]
-        ds = Dataset(["a", "b"], np.array([[0.1, 1e-20], [1e16, -0.0]]), stamps)
-        save_telemetry(ds, tmp_path / "out.csv", extra_names=["label"],
-                       extra_values=np.array([[1.0], [0.0]]))
+        ds = Dataset(["a", "b", "label"],
+                     np.array([[0.1, 1e-20, 1.0], [1e16, -0.0, 0.0]]), stamps)
+        save(ds, tmp_path / "out.csv")
         # every float cell is its shortest round-tripping repr
         assert (tmp_path / "out.csv").read_bytes() == (
             b"ts,a,b,label\r\n"

@@ -12,6 +12,7 @@ from blamekit import (
 from blamekit import network
 from blamekit.detector import rank_auc
 from blamekit.errors import InputError
+from helpers import save_artifact
 
 
 def score(det, x_raw):
@@ -73,12 +74,12 @@ class TestFitDetector:
         ds = Dataset(["a", "b"], rng.uniform(size=(80, 2)))
         args = (ds, NegativeSamplingConfig(seed=4), TrainConfig(0.2, 20, 16, (6,), seed=5))
         a, b = fit_detector(*args), fit_detector(*args)
-        a.save(tmp_path / "a.json")
-        b.save(tmp_path / "b.json")
+        save_artifact(a, tmp_path / "a.json")
+        save_artifact(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_artifact_round_trip(self, tmp_path, det8):
-        det8.save(tmp_path / "det.json")
+        save_artifact(det8, tmp_path / "det.json")
         clone = Detector.load(tmp_path / "det.json")
         x = np.full(det8.dims, 0.3)
         assert score(det8, x) == score(clone, x)

@@ -7,9 +7,20 @@ from blamekit import (
     generate_fault_benchmark,
     mann_whitney_u,
 )
-from blamekit.benchmark import LabeledSet, Mode, save_benchmark, load_labeled
+from blamekit.benchmark import LabeledSet, Mode, load_labeled
+from blamekit.cli import main
 from blamekit.errors import ConfigError, InputError, ShapeError
 from blamekit.evaluation import MethodReport, evaluate_methods, format_table
+
+
+def write_benchmark(cfg, out_dir):
+    """Write cfg's train.csv and test.csv with the benchmark command; cfg
+    must use the default modes and a single fault dimension count."""
+    (n_a,) = cfg.fault_dims
+    assert main(["benchmark", "--out-dir", str(out_dir), "--dims", str(cfg.dims),
+                 "--n-normal", str(cfg.n_normal), "--n-test-normal", str(cfg.n_test_normal),
+                 "--n-faults", str(cfg.n_faults), "--fault-dims", str(n_a),
+                 "--magnitude", str(cfg.magnitude), "--seed", str(cfg.seed)]) == 0
 
 
 def brute_force_error(b, beta):
@@ -124,10 +135,7 @@ class TestBenchmark:
         cfg = BenchmarkConfig(dims=4, n_normal=50, n_test_normal=10,
                               n_faults=20, magnitude=0.55, seed=7)
         for d in ("a", "b"):
-            (tmp_path / d).mkdir()
-            train, test = generate_fault_benchmark(cfg)
-            save_benchmark(train, test, tmp_path / d / "train.csv",
-                           tmp_path / d / "test.csv")
+            write_benchmark(cfg, tmp_path / d)
         for name in ("train.csv", "test.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -148,8 +156,8 @@ class TestBenchmark:
     def test_labeled_round_trip(self, tmp_path):
         cfg = BenchmarkConfig(dims=4, n_normal=30, n_test_normal=5,
                               n_faults=10, magnitude=0.55, seed=3)
-        train, test = generate_fault_benchmark(cfg)
-        save_benchmark(train, test, tmp_path / "train.csv", tmp_path / "test.csv")
+        _, test = generate_fault_benchmark(cfg)
+        write_benchmark(cfg, tmp_path)
         back = load_labeled(tmp_path / "test.csv")
         assert len(back) == len(test)
         np.testing.assert_array_equal(test.x, back.x)

@@ -14,6 +14,7 @@ from blamekit.exemplar import (
     select_baseline,
 )
 from blamekit.network import Layer, NetworkModel
+from helpers import save_artifact
 
 
 def flat_detector(dims=2):
@@ -122,7 +123,7 @@ class TestSelectBaseline:
         np.testing.assert_array_equal(a.clusters, b.clusters)
 
     def test_json_round_trip(self, tmp_path, ex8):
-        ex8.save(tmp_path / "ex.json")
+        save_artifact(ex8, tmp_path / "ex.json")
         clone = ExemplarSet.load(tmp_path / "ex.json")
         np.testing.assert_array_equal(ex8.points, clone.points)
         np.testing.assert_array_equal(ex8.clusters, clone.clusters)
