@@ -11,7 +11,6 @@ weighted linear surrogate and rank them with a Mann-Whitney U test.
 from blamekit import (
     BenchmarkConfig,
     NegativeSamplingConfig,
-    SurrogateConfig,
     TrainConfig,
     evaluate_methods,
     explain,
@@ -40,8 +39,7 @@ def ig_method(x_raw):
 
 
 def surrogate_method(x_raw):
-    sur_cfg = SurrogateConfig(samples=25 * det.dims, seed=4)
-    return surrogate_attribution(det, det.normalizer.apply(x_raw), sur_cfg)
+    return surrogate_attribution(det, det.normalizer.apply(x_raw), seed=4)
 
 
 # normal test rows never enter the comparison

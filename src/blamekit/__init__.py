@@ -25,8 +25,8 @@ from .exemplar import (
     nearest_exemplar,
     select_baseline,
 )
-from .network import NetworkModel, TrainConfig, forward, train
-from .surrogate import SurrogateConfig, surrogate_attribution
+from .network import NetworkModel, TrainConfig, train
+from .surrogate import surrogate_attribution
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "NegativeSamplingConfig",
     "NetworkModel",
     "Normalizer",
-    "SurrogateConfig",
     "TrainConfig",
     "attribution_error",
     "blame",
@@ -51,7 +50,6 @@ __all__ = [
     "explain",
     "fit_detector",
     "fit_normalizer",
-    "forward",
     "generate_fault_benchmark",
     "integrated_gradients",
     "load_telemetry",

@@ -201,43 +201,37 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
     return Explanations(x, x_base, fx, fb, raw, blame(raw), gap, m, metric, path, timestamps)
 
 
-def check_desiderata(det: Detector, x, x_base, raw: np.ndarray,
-                     epsilon: float = 0.1, n_pairs: int = 50,
-                     seed: int = 0) -> dict:
+def check_desiderata(det: Detector, x, x_base, raw: np.ndarray) -> dict:
     """Report-only audit of the four explanation properties.
 
-    contrastive: baseline scores nearly normal while x scores anomalous.
+    contrastive: the baseline scores at least 0.9 (nearly normal) while x
+    scores at most 0.5 (anomalous).
     completeness: |sum(raw) - (F(x') - F(x))|.
     sensitivity: dimensions with zero attribution should be inert; each
     is probed by nudging the endpoint values by +-0.05.
-    proportionality: attribution ordering should match a dense
-    (m=16384) integration of per-dimension rate of change.
+    proportionality: on 50 random dimension pairs (seed 0), attribution
+    ordering should match a dense (m=16384) integration of per-dimension
+    rate of change; tied pairs are skipped.
     """
-    x = np.asarray(x, dtype=float)
-    x_base = np.asarray(x_base, dtype=float)
+    x, x_base = ends = np.array([x, x_base], dtype=float)
     raw = np.asarray(raw, dtype=float)
-    fx = network.forward(det.model, x)
-    fb = network.forward(det.model, x_base)
+    fx, fb = network.forward_batch(det.model, ends)
 
-    contrastive = fb >= 1.0 - epsilon and fx <= 0.5
+    contrastive = fb >= 0.9 and fx <= 0.5
     gap = completeness_gap(det, x[None], x_base[None], raw[None])[0]
 
     sensitivity = {}
     for d in np.flatnonzero(np.abs(raw) < 1e-9):
-        inert = True
-        for endpoint in (x, x_base):
-            for delta in (0.05, -0.05):
-                probe = endpoint.copy()
-                probe[d] += delta
-                if abs(network.forward(det.model, probe) - network.forward(det.model, endpoint)) >= 1e-4:
-                    inert = False
-        sensitivity[int(d)] = inert
+        probes = np.repeat(ends, 2, axis=0)  # x, x, x', x'
+        probes[:, d] += [0.05, -0.05, 0.05, -0.05]
+        moved = network.forward_batch(det.model, probes) - np.repeat([fx, fb], 2)
+        sensitivity[int(d)] = bool(np.all(np.abs(moved) < 1e-4))
 
     dense = integrated_gradients(det, x[None], x_base[None], "straight", 16384)[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dims = len(raw)
     agree = tried = 0
-    for _ in range(n_pairs):
+    for _ in range(50):
         u, v = rng.choice(dims, size=2, replace=False)
         if abs(dense[u] - dense[v]) < 1e-6:
             continue  # tied pair, excluded

@@ -115,15 +115,6 @@ def _fault_directions(mode: Mode, d: int, magnitude: float) -> list[float]:
     return unclamped or clamped
 
 
-def validate_config(cfg: BenchmarkConfig) -> None:
-    for mode in cfg.modes:
-        if all(not _fault_directions(mode, d, cfg.magnitude) for d in range(cfg.dims)):
-            raise ConfigError(
-                "fault magnitude cannot escape the 99.9% envelope on any "
-                "dimension after clamping; increase magnitude or move centers"
-            )
-
-
 def _draw_normals(cfg: BenchmarkConfig, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     weights = np.array([m.weight for m in cfg.modes])
     weights = weights / weights.sum()
@@ -137,8 +128,18 @@ def _draw_normals(cfg: BenchmarkConfig, n: int, rng) -> tuple[np.ndarray, np.nda
 
 def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, LabeledSet]:
     """Deterministic (per seed) train set and labeled test set: the
-    n_test_normal normal rows, then the n_faults fault rows."""
-    validate_config(cfg)
+    n_test_normal normal rows, then the n_faults fault rows. A config is
+    rejected if some mode has fewer dimensions a fault can escape on than
+    the largest fault dimension count."""
+    # each mode's escape directions per dimension, and the dimensions that have one
+    dirs = [[_fault_directions(m, d, cfg.magnitude) for d in range(cfg.dims)]
+            for m in cfg.modes]
+    feasible = [[d for d, signs in enumerate(ds) if signs] for ds in dirs]
+    need = max(cfg.fault_dims, default=1)
+    for k, ds in enumerate(feasible):
+        if len(ds) < need:
+            raise ConfigError(f"mode {k}: a clamped fault escapes the 99.9% envelope on {len(ds)} "
+                              f"dimensions, need {need}; increase magnitude or move centers")
     rng = np.random.default_rng(cfg.seed)
     names = [f"dim_{d}" for d in range(cfg.dims)]
 
@@ -149,16 +150,11 @@ def generate_fault_benchmark(cfg: BenchmarkConfig) -> tuple[Dataset, LabeledSet]
     faults, which = _draw_normals(cfg, cfg.n_faults, rng)
     beta = np.zeros_like(faults)
     for x, b, k in zip(faults, beta, which):  # x and b are views of one row
-        mode = cfg.modes[k]
-        n_a = int(rng.choice(np.asarray(cfg.fault_dims)))
-        feasible = [d for d in range(cfg.dims) if _fault_directions(mode, d, cfg.magnitude)]
-        if len(feasible) < n_a:
-            raise ConfigError(f"only {len(feasible)} feasible fault dimensions, need {n_a}")
-        chosen = rng.choice(feasible, size=n_a, replace=False)
-        for d in chosen:
-            dirs = _fault_directions(mode, d, cfg.magnitude)
-            sign = dirs[0] if len(dirs) == 1 else float(rng.choice(dirs))
-            x[d] = np.clip(mode.center[d] + sign * cfg.magnitude, 0.0, 1.0)
+        n_a = int(rng.choice(cfg.fault_dims))
+        for d in rng.choice(feasible[k], size=n_a, replace=False):
+            signs = dirs[k][d]
+            sign = signs[0] if len(signs) == 1 else float(rng.choice(signs))
+            x[d] = np.clip(cfg.modes[k].center[d] + sign * cfg.magnitude, 0.0, 1.0)
             b[d] = 1.0 / n_a
     anomalous = np.arange(len(normals) + len(faults)) >= len(normals)
     test = LabeledSet(np.vstack([normals, faults]), anomalous,

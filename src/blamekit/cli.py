@@ -35,7 +35,7 @@ from .errors import (
 from .evaluation import evaluate_methods, format_table, reports_to_json
 from .exemplar import ExemplarSet, select_baseline
 from .network import TrainConfig
-from .surrogate import SurrogateConfig, surrogate_attribution
+from .surrogate import surrogate_attribution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,6 +55,14 @@ def _fan_out(seed: int, role: str) -> int:
     """Derive a per-role seed from the single --seed flag."""
     digest = hashlib.sha256(f"{seed}:{role}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated flag value."""
+    try:
+        return tuple(int(k) for k in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _runlog(out_path, command: str, flags: dict, seeds: dict, inputs: list) -> dict:
@@ -98,7 +106,7 @@ def cmd_benchmark(args) -> int:
         n_normal=args.n_normal,
         n_test_normal=args.n_test_normal,
         n_faults=args.n_faults,
-        fault_dims=tuple(int(k) for k in args.fault_dims.split(",")),
+        fault_dims=_int_list("--fault-dims", args.fault_dims),
         magnitude=args.magnitude,
         seed=args.seed,
     )
@@ -127,7 +135,7 @@ def cmd_train(args) -> int:
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        hidden=tuple(int(h) for h in args.hidden.split(",")),
+        hidden=_int_list("--hidden", args.hidden),
         seed=train_seed,
     )
     det = fit_detector(data, ns_cfg, train_cfg)
@@ -170,6 +178,9 @@ def cmd_explain(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    for what, path in (("--out", args.out), ("the run log of --out", f"{args.out}.runlog.json")):
+        if args.table and os.path.realpath(args.table) == os.path.realpath(path):
+            raise InputError(f"--table {args.table!r} is the same file as {what} ({path!r})")
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
     test = bench.load_labeled(args.test_csv, det.normalizer.names)
@@ -179,8 +190,7 @@ def cmd_evaluate(args) -> int:
         return explain(det, ex, x_raw, metric=args.metric, path=args.path).blame
 
     def surrogate_method(x_raw):
-        cfg = SurrogateConfig(samples=25 * det.dims, seed=sur_seed)
-        return surrogate_attribution(det, det.normalizer.apply(x_raw), cfg)
+        return surrogate_attribution(det, det.normalizer.apply(x_raw), sur_seed)
 
     available = {"ig": ig_method, "surrogate": surrogate_method}
     methods = {}

@@ -9,9 +9,12 @@ The network is split at the first layer's pre-activation z1 = x·W1 + b1.
 `forward_pre` and `grad_pre` score and differentiate from z1, and
 `preactivation` validates an input batch and computes its z1.
 `forward_batch` and `input_gradient_batch` are the input-space wrappers
-over them (the gradient multiplies dF/dz1 by W1ᵀ). Because the first layer is affine, a caller that scores points
-affine in x (a shared perturbation cloud, a straight path) can build
-their z1 from a few per-row products instead of one per point.
+over them (the gradient multiplies dF/dz1 by W1ᵀ); a single observation
+is a one-row matrix, `forward_batch(model, x[None])[0]`. Because the
+first layer is affine, a caller that scores points affine in x (a shared
+perturbation cloud, a straight path) can build their z1 from a few
+per-row products instead of one per point. `_sgd_step` runs the same
+layer loop from z1 and backpropagates through it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ShapeError, TrainingError
-
-ACTIVATIONS = ("logistic", "tanh")
 
 # rows per batched call over a file (IG path points, surrogate samples,
 # row-exemplar pairs): the block arrays are points x first hidden width (or
@@ -40,21 +41,10 @@ def logistic(z):
     return 1.0 / (1.0 + np.exp(-np.maximum(z, -500.0)))
 
 
-def _act(z, tag):
-    if tag == "logistic":
-        return logistic(z)
-    if tag == "tanh":
-        return np.tanh(z)
-    raise ValueError(f"unknown activation {tag!r}")
-
-
-def _act_deriv(a, tag):
-    # derivative expressed through the activation value a = act(z)
-    if tag == "logistic":
-        return a * (1.0 - a)
-    if tag == "tanh":
-        return 1.0 - a * a
-    raise ValueError(f"unknown activation {tag!r}")
+# each activation, and its derivative expressed through its value a = act(z)
+_ACT = {"logistic": logistic, "tanh": np.tanh}
+_ACT_DERIV = {"logistic": lambda a: a * (1.0 - a), "tanh": lambda a: 1.0 - a * a}
+ACTIVATIONS = tuple(_ACT)
 
 
 @dataclass
@@ -156,17 +146,11 @@ def _check_input(model: NetworkModel, x) -> np.ndarray:
     return x
 
 
-def _activations(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output for a (N, D) batch, the input first."""
-    first = model.layers[0]
-    return [x, *_activations_pre(model, np.dot(x, first.w) + first.b)]
-
-
 def _activations_pre(model: NetworkModel, z1: np.ndarray) -> list[np.ndarray]:
     """Every layer's output from the first layer's (N, H1) pre-activation."""
-    acts = [_act(z1, model.layers[0].act)]
+    acts = [_ACT[model.layers[0].act](z1)]
     for layer in model.layers[1:]:
-        acts.append(_act(np.dot(acts[-1], layer.w) + layer.b, layer.act))
+        acts.append(_ACT[layer.act](np.dot(acts[-1], layer.w) + layer.b))
     return acts
 
 
@@ -188,21 +172,14 @@ def grad_pre(model: NetworkModel, z1: np.ndarray) -> np.ndarray:
     # backprop dF down to z1 (no parameter gradients needed here)
     delta = np.ones((len(z1), 1))
     for i in range(len(model.layers) - 1, 0, -1):
-        delta = np.dot(delta * _act_deriv(activations[i], model.layers[i].act),
+        delta = np.dot(delta * _ACT_DERIV[model.layers[i].act](activations[i]),
                        model.layers[i].w.T)
-    return delta * _act_deriv(activations[0], model.layers[0].act)
+    return delta * _ACT_DERIV[model.layers[0].act](activations[0])
 
 
 def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """Scores for a (N, D) batch; returns shape (N,)."""
     return forward_pre(model, preactivation(model, x))
-
-
-def forward(model: NetworkModel, x) -> float:
-    x = _check_input(model, x)
-    if x.ndim != 1:
-        raise ShapeError("forward expects a single vector; use forward_batch")
-    return float(forward_batch(model, x[None, :])[0])
 
 
 def input_gradient_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
@@ -218,7 +195,8 @@ def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:
 def _sgd_step(model: NetworkModel, xb: np.ndarray, yb: np.ndarray, lr: float) -> None:
     """One in-place SGD step on the batch's mean binary cross-entropy."""
     layers = model.layers
-    activations = _activations(model, xb)
+    # every layer's output, the input first
+    activations = [xb, *_activations_pre(model, np.dot(xb, layers[0].w) + layers[0].b)]
     # logistic output + BCE: the output delta is (p - y) / n; folding lr in
     # here scales every gradient below, so no update needs its own lr product
     delta = (activations[-1] - yb[:, None]) * (lr / len(yb))
@@ -229,7 +207,7 @@ def _sgd_step(model: NetworkModel, xb: np.ndarray, yb: np.ndarray, lr: float) ->
         if i > 0:
             # activations[i] is the output of layers[i - 1]: the derivative
             # is that layer's activation's, not this one's
-            delta = np.dot(delta, layer.w.T) * _act_deriv(activations[i], layers[i - 1].act)
+            delta = np.dot(delta, layer.w.T) * _ACT_DERIV[layers[i - 1].act](activations[i])
         layer.w -= gw
         layer.b -= gb
 

@@ -29,7 +29,7 @@ from blamekit import (
 from blamekit import network
 from blamekit.benchmark import Mode
 from blamekit.evaluation import evaluate_methods
-from blamekit.surrogate import SurrogateConfig, surrogate_attribution
+from blamekit.surrogate import surrogate_attribution
 from conftest import NS_CFG, train_cfg
 from helpers import logistic_unit_ig_closed_form, unit_detector
 
@@ -59,7 +59,8 @@ def test_01_gradient_matches_finite_differences():
             lo, hi = x.copy(), x.copy()
             lo[d] -= h
             hi[d] += h
-            fd = (network.forward(model, hi) - network.forward(model, lo)) / (2 * h)
+            fd = (network.forward_batch(model, hi[None])[0]
+                  - network.forward_batch(model, lo[None])[0]) / (2 * h)
             rel = abs(g[d] - fd) / max(abs(fd), 1e-6)
             worst = max(worst, rel)
     ok = worst <= 1e-4 and time.time() - t0 < 10
@@ -127,7 +128,8 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
         for _ in range(100):
             u = rng.normal(size=len(c))
             u /= np.linalg.norm(u)
-            if all(network.forward(det16.model, c + d * u) > 0.9 for d in deltas):
+            if all(network.forward_batch(det16.model, (c + d * u)[None])[0] > 0.9
+                   for d in deltas):
                 break
         for d in deltas:
             other = integrated_gradients(det16, x[None], (c + d * u)[None],
@@ -208,8 +210,7 @@ def test_08_attribution_quality(det16, ex16, anomalies16):
         return explain(det16, ex16, x_raw).blame
 
     def surrogate_method(x_raw):
-        cfg = SurrogateConfig(samples=25 * det16.dims, seed=6)
-        return surrogate_attribution(det16, det16.normalizer.apply(x_raw), cfg)
+        return surrogate_attribution(det16, det16.normalizer.apply(x_raw), seed=6)
 
     reports = {r.name: r for r in evaluate_methods(
         anomalies16, {"ig": ig_method, "surrogate": surrogate_method})}

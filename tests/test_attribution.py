@@ -115,7 +115,8 @@ class TestExactAxisPath:
     def test_sum_is_score_difference(self, det16, ex16, anomalies16):
         for x, xb in self.pairs(det16, ex16, anomalies16):
             raw = integrated_gradients(det16, x[None], xb[None], "axis", 1)[0]
-            fx, fb = network.forward(det16.model, x), network.forward(det16.model, xb)
+            fx = network.forward_batch(det16.model, x[None])[0]
+            fb = network.forward_batch(det16.model, xb[None])[0]
             assert abs(raw.sum() - (fb - fx)) <= 1e-12
 
     def test_zero_weight_dimension_is_exactly_zero(self, det16, ex16, anomalies16):

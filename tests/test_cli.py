@@ -347,6 +347,20 @@ class TestEvaluateCommand:
         # no report, no run log and no temp file
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("table", ["./r.json", "./r.json.runlog.json"])
+    def test_table_on_another_output_exit_2(self, pipeline, tmp_path, monkeypatch, capsys,
+                                            table):
+        """--table naming the report or its run log, spelled differently,
+        is bad input: exit 2 naming both flags, and nothing written."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["evaluate", str(pipeline / "detector.json"),
+                   str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
+                   "--out", "r.json", "--table", table])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--table" in err and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_method_exit_2(self, pipeline, tmp_path):
         rc = main(["evaluate", str(pipeline / "detector.json"),
                    str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
@@ -410,6 +424,19 @@ class TestBadNumericFlags:
         out = tmp_path / "d.json"
         self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
                     "--hidden", "0"], out, capsys)
+
+    @pytest.mark.parametrize("hidden", ["16,", "a"])
+    def test_train_hidden_not_int_list(self, pipeline, tmp_path, capsys, hidden):
+        out = tmp_path / "d.json"
+        err = self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
+                          "--hidden", hidden], out, capsys)
+        assert "--hidden" in err and repr(hidden) in err
+
+    def test_benchmark_fault_dims_not_int_list(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        err = self.check(["benchmark", "--out-dir", str(out), "--dims", "4",
+                          "--fault-dims", "1,"], out, capsys)
+        assert "--fault-dims" in err and "'1,'" in err
 
     def test_baseline_n_zero(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ex.json"

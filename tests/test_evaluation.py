@@ -7,7 +7,13 @@ from blamekit import (
     generate_fault_benchmark,
     mann_whitney_u,
 )
-from blamekit.benchmark import LabeledSet, Mode, load_labeled
+from blamekit.benchmark import (
+    LabeledSet,
+    Mode,
+    _draw_normals,
+    _fault_directions,
+    load_labeled,
+)
 from blamekit.cli import main
 from blamekit.errors import ConfigError, InputError, ShapeError
 from blamekit.evaluation import MethodReport, evaluate_methods, format_table
@@ -21,6 +27,30 @@ def write_benchmark(cfg, out_dir):
                  "--n-normal", str(cfg.n_normal), "--n-test-normal", str(cfg.n_test_normal),
                  "--n-faults", str(cfg.n_faults), "--fault-dims", str(n_a),
                  "--magnitude", str(cfg.magnitude), "--seed", str(cfg.seed)]) == 0
+
+
+def reference_benchmark(cfg):
+    """The generator as a per-row loop: every fault row rescans its mode's
+    feasible dimensions and each chosen dimension's escape directions,
+    making the same rng calls in the same order. Returns the train rows
+    and the test set's x, anomalous and beta."""
+    rng = np.random.default_rng(cfg.seed)
+    train, _ = _draw_normals(cfg, cfg.n_normal, rng)
+    normals, _ = _draw_normals(cfg, cfg.n_test_normal, rng)
+    faults, which = _draw_normals(cfg, cfg.n_faults, rng)
+    beta = np.zeros_like(faults)
+    for i, k in enumerate(which):
+        mode = cfg.modes[k]
+        n_a = int(rng.choice(np.asarray(cfg.fault_dims)))
+        feasible = [d for d in range(cfg.dims) if _fault_directions(mode, d, cfg.magnitude)]
+        assert len(feasible) >= n_a
+        for d in rng.choice(feasible, size=n_a, replace=False):
+            dirs = _fault_directions(mode, d, cfg.magnitude)
+            sign = dirs[0] if len(dirs) == 1 else float(rng.choice(dirs))
+            faults[i, d] = np.clip(mode.center[d] + sign * cfg.magnitude, 0.0, 1.0)
+            beta[i, d] = 1.0 / n_a
+    anomalous = np.arange(len(normals) + len(faults)) >= len(normals)
+    return train, np.vstack([normals, faults]), anomalous, np.vstack([0 * normals, beta])
 
 
 def brute_force_error(b, beta):
@@ -144,6 +174,32 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             generate_fault_benchmark(
                 BenchmarkConfig(dims=4, modes=modes, magnitude=0.1, seed=0))
+        # one feasible mode does not make up for an infeasible one
+        modes = [Mode(np.full(4, 0.5), scale=0.01), Mode(np.full(4, 0.5), scale=0.2)]
+        with pytest.raises(ConfigError, match="mode 1"):
+            generate_fault_benchmark(
+                BenchmarkConfig(dims=4, modes=modes, magnitude=0.1, seed=0))
+
+    @pytest.mark.parametrize("cfg", [
+        BenchmarkConfig(dims=8, n_faults=2000, fault_dims=(1, 2), magnitude=0.45, seed=2),
+        BenchmarkConfig(dims=16, n_faults=1000, fault_dims=(1, 2), magnitude=0.45, seed=2),
+        # criterion 6's unbalanced 19:1 modes
+        BenchmarkConfig(dims=8, modes=[
+            Mode(np.array([0.25 + 0.1 * (d % 2) for d in range(8)]), 0.03, 19.0),
+            Mode(np.array([0.65 + 0.1 * ((d + 1) % 2) for d in range(8)]), 0.03, 1.0),
+        ], n_normal=4000, n_test_normal=10, n_faults=10, seed=11),
+        # centers where a fault may go either way, so the sign is drawn too
+        BenchmarkConfig(dims=4, modes=[Mode([0.5, 0.5, 0.1, 0.9], 0.03),
+                                       Mode(np.full(4, 0.3), 0.02, 2.0)],
+                        n_normal=100, n_faults=200, fault_dims=(1, 2), magnitude=0.3, seed=5),
+    ], ids=["8d", "16d", "19to1", "two-signs"])
+    def test_matches_per_row_reference(self, cfg):
+        train, test = generate_fault_benchmark(cfg)
+        ref_train, x, anomalous, beta = reference_benchmark(cfg)
+        np.testing.assert_array_equal(train.values, ref_train)
+        np.testing.assert_array_equal(test.x, x)
+        np.testing.assert_array_equal(test.anomalous, anomalous)
+        np.testing.assert_array_equal(test.beta, beta)
 
     def test_labeled_set_checks_beta_per_row(self):
         x = np.zeros((3, 2))

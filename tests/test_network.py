@@ -10,7 +10,7 @@ from blamekit.network import (
     Layer,
     NetworkModel,
     TrainConfig,
-    forward,
+    forward_batch,
     init_network,
     train,
 )
@@ -31,7 +31,8 @@ def finite_diff(model, x, h=1e-5):
         up, dn = x.copy(), x.copy()
         up[d] += h
         dn[d] -= h
-        g[d] = (forward(model, up) - forward(model, dn)) / (2 * h)
+        g[d] = (forward_batch(model, up[None])[0]
+                - forward_batch(model, dn[None])[0]) / (2 * h)
     return g
 
 
@@ -41,26 +42,26 @@ def input_gradient(model, x):
 
 class TestForward:
     def test_zero_network_scores_half(self):
-        assert forward(zero_net(), np.array([1.0, -2.0, 7.0])) == 0.5
+        assert forward_batch(zero_net(), np.array([1.0, -2.0, 7.0])[None])[0] == 0.5
 
     def test_single_unit_closed_form(self):
         model = single_unit([1.0, -1.0])
-        score = forward(model, np.array([0.3, 0.1]))
+        score = forward_batch(model, np.array([0.3, 0.1])[None])[0]
         assert score == pytest.approx(1.0 / (1.0 + np.exp(-0.2)), abs=1e-12)
         assert score == pytest.approx(0.549834, abs=1e-6)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            forward(zero_net(3), np.zeros(4))
+            forward_batch(zero_net(3), np.zeros(4)[None])[0]
 
     def test_non_finite_input(self):
         with pytest.raises(InputError):
-            forward(zero_net(3), np.array([0.0, np.nan, 0.0]))
+            forward_batch(zero_net(3), np.array([0.0, np.nan, 0.0])[None])[0]
 
     def test_pure(self):
         model = init_network(4, (8,), seed=9)
         x = np.array([0.1, 0.9, 0.4, 0.2])
-        assert forward(model, x) == forward(model, x)
+        assert forward_batch(model, x[None])[0] == forward_batch(model, x[None])[0]
 
     def test_logistic_matches_clipped_form_bitwise(self):
         # one-sided clamp: above 500, 1 + exp(-z) rounds to exactly 1.0
@@ -264,7 +265,7 @@ class TestSerialization:
         model = init_network(3, (5, 4), seed=7)
         clone = NetworkModel.from_dict(json.loads(json.dumps(model.to_dict())))
         x = np.array([0.2, 0.8, 0.5])
-        assert forward(model, x) == forward(clone, x)
+        assert forward_batch(model, x[None])[0] == forward_batch(clone, x[None])[0]
         for la, lb in zip(model.layers, clone.layers):
             assert np.array_equal(la.w, lb.w)
             assert np.array_equal(la.b, lb.b)

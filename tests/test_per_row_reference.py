@@ -19,7 +19,8 @@ import pytest
 from blamekit import TrainConfig, fit_detector, network, select_baseline
 from blamekit.attribution import GAP_TOLERANCE, MAX_STEPS, START_STEPS, explain
 from blamekit.exemplar import distances
-from blamekit.surrogate import SurrogateConfig, surrogate_attribution
+from blamekit import surrogate
+from blamekit.surrogate import surrogate_attribution
 from conftest import NS_CFG
 from helpers import steepened
 
@@ -49,8 +50,8 @@ def reference_explain(det, ex, x_raw, metric, kind):
     """One row: nearest exemplar, single-row scores, its own doubling."""
     x = det.normalizer.apply(x_raw)
     x_base = ex.points[int(np.argmin(distances(x, ex.points, metric)))]
-    fx = network.forward(det.model, x)
-    fb = network.forward(det.model, x_base)
+    fx = network.forward_batch(det.model, x[None])[0]
+    fb = network.forward_batch(det.model, x_base[None])[0]
     m = START_STEPS
     while True:
         raw = reference_raw(det, x, x_base, kind, m)
@@ -64,15 +65,16 @@ def reference_explain(det, ex, x_raw, metric, kind):
                 blame=reference_blame(raw), gap=gap, m=m, flags=flags)
 
 
-def reference_surrogate(det, x_norm, cfg):
-    rng = np.random.default_rng(cfg.seed)
-    z = rng.normal(0.0, cfg.sigma, size=(cfg.samples, len(x_norm)))
+def reference_surrogate(det, x_norm, seed):
+    samples, sigma = surrogate.SAMPLES_PER_DIM * len(x_norm), surrogate.SIGMA
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0.0, sigma, size=(samples, len(x_norm)))
     scores = network.forward_batch(det.model, x_norm + z)
-    w = np.exp(-np.sum(z * z, axis=1) / cfg.kernel_width ** 2)
-    design = np.hstack([np.ones((cfg.samples, 1)), z])
+    w = np.exp(-np.sum(z * z, axis=1) / surrogate.KERNEL_WIDTH ** 2)
+    design = np.hstack([np.ones((samples, 1)), z])
     a = design.T @ (w[:, None] * design) + 1e-6 * np.eye(len(x_norm) + 1)
     coef = np.linalg.solve(a, design.T @ (w * scores))[1:]
-    return reference_blame(np.abs(coef) * cfg.sigma)
+    return reference_blame(np.abs(coef) * sigma)
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +127,8 @@ def test_explain_matches_per_row_loop(case):
 def test_surrogate_matches_per_row_fit(case):
     (_, _, test), det, _, _, _, _ = case
     x_norm = det.normalizer.apply(test.x)
-    cfg = SurrogateConfig(samples=25 * det.dims, seed=11)
-    assert len(x_norm) > network.ROWS // cfg.samples
-    batched = surrogate_attribution(det, x_norm, cfg)
+    assert len(x_norm) > network.ROWS // (surrogate.SAMPLES_PER_DIM * det.dims)
+    batched = surrogate_attribution(det, x_norm, seed=11)
     assert batched.shape == x_norm.shape
     for b, x in zip(batched, x_norm):
-        np.testing.assert_allclose(b, reference_surrogate(det, x, cfg), rtol=0, atol=TOL)
+        np.testing.assert_allclose(b, reference_surrogate(det, x, 11), rtol=0, atol=TOL)
