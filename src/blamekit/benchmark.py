@@ -46,6 +46,11 @@ class BenchmarkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.dims < 1:
+            raise ConfigError(f"dims must be >= 1, got {self.dims}")
+        for name in ("n_normal", "n_test_normal", "n_faults"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.modes:
             self.modes = default_modes(self.dims)
         for mode in self.modes:

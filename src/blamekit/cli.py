@@ -1,8 +1,11 @@
 """Command-line pipeline: benchmark, train, baseline, explain, evaluate.
 
-Every command writes a run log next to its primary output (flags,
-derived seeds, SHA-256 digests of inputs) so any artifact can be
-reproduced exactly, and writes all its outputs or, on failure, none.
+Each cmd_* only computes and returns (writers, seeds, inputs, message):
+{output path: function writing it to a text handle}, primary output
+first; the derived seeds; the input files; the line to print. `main`
+writes the outputs and, next to the primary one, a run log (command,
+flags, seeds, SHA-256 of each input) all or nothing, so any artifact
+can be reproduced exactly.
 Exit codes: 0 ok, 2 input/parse error or unwritable output, 3
 training/numeric failure, 4 empty baseline.
 """
@@ -23,24 +26,13 @@ from . import benchmark as bench
 from .attribution import explain
 from .dataio import Dataset, load_telemetry, save_telemetry
 from .detector import Detector, NegativeSamplingConfig, fit_detector
-from .errors import (
-    ConfigError,
-    EmptyBaselineError,
-    InputError,
-    NumericError,
-    ParseError,
-    ShapeError,
-    TrainingError,
-)
+from .errors import BlamekitError, EmptyBaselineError, InputError, NumericError, TrainingError
 from .evaluation import evaluate_methods, format_table, reports_to_json
 from .exemplar import ExemplarSet, select_baseline
 from .network import TrainConfig
 from .surrogate import surrogate_attribution
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_TRAINING = 3
-EXIT_EMPTY_BASELINE = 4
+EXIT_CODES = {TrainingError: 3, NumericError: 3, EmptyBaselineError: 4}  # any other error: 2
 
 
 def _sha256(path) -> str:
@@ -63,18 +55,6 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
         return tuple(int(k) for k in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
-
-
-def _runlog(out_path, command: str, flags: dict, seeds: dict, inputs: list) -> dict:
-    """The run log of a command whose primary output is out_path (flags,
-    seeds, SHA-256 of each input), as a {path: writer} entry of _write_all."""
-    text = json.dumps({
-        "command": command,
-        "flags": {k: v for k, v in flags.items() if k not in ("func", "command")},
-        "seeds": seeds,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-    }, indent=2, sort_keys=True)
-    return {f"{out_path}.runlog.json": lambda fh: fh.write(text)}
 
 
 def _write_all(writers: dict) -> None:
@@ -100,7 +80,7 @@ def _write_all(writers: dict) -> None:
             Path(tmp).unlink(missing_ok=True)
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args):
     cfg = bench.BenchmarkConfig(
         dims=args.dims,
         n_normal=args.n_normal,
@@ -120,13 +100,12 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_path, test_path = out / "train.csv", out / "test.csv"
-    _write_all({train_path: lambda fh: save_telemetry(train_ds, fh), test_path: write_test,
-                **_runlog(train_path, "benchmark", vars(args), {"seed": args.seed}, [])})
-    print(f"wrote {train_path} ({len(train_ds)} rows) and {test_path} ({len(test)} rows)")
-    return EXIT_OK
+    return ({train_path: lambda fh: save_telemetry(train_ds, fh), test_path: write_test},
+            {"seed": args.seed}, [],
+            f"wrote {train_path} ({len(train_ds)} rows) and {test_path} ({len(test)} rows)")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     data = load_telemetry(args.train_csv)
     ns_seed = _fan_out(args.seed, "negative-sampling")
     train_seed = _fan_out(args.seed, "training")
@@ -139,14 +118,12 @@ def cmd_train(args) -> int:
         seed=train_seed,
     )
     det = fit_detector(data, ns_cfg, train_cfg)
-    seeds = {"seed": args.seed, "negative_sampling": ns_seed, "training": train_seed}
-    _write_all({args.out: lambda fh: json.dump(det.to_dict(), fh),
-                **_runlog(args.out, "train", vars(args), seeds, [args.train_csv])})
-    print(f"wrote {args.out} (held-out AUC: {det.meta['auc']})")
-    return EXIT_OK
+    return ({args.out: lambda fh: json.dump(det.to_dict(), fh)},
+            {"seed": args.seed, "negative_sampling": ns_seed, "training": train_seed},
+            [args.train_csv], f"wrote {args.out} (held-out AUC: {det.meta['auc']})")
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args):
     det = Detector.load(args.detector)
     data = load_telemetry(args.train_csv, det.normalizer.names)
     seed = _fan_out(args.seed, "baseline")
@@ -154,30 +131,24 @@ def cmd_baseline(args) -> int:
         det.normalizer.apply(data.values), det,
         n=args.n, epsilon=args.epsilon, eps=args.eps, min_pts=args.minpts, seed=seed,
     )
-    _write_all({args.out: lambda fh: json.dump(ex.to_dict(), fh),
-                **_runlog(args.out, "baseline", vars(args),
-                          {"seed": args.seed, "baseline": seed},
-                          [args.detector, args.train_csv])})
-    print(f"wrote {args.out} ({len(ex)} exemplars, "
-          f"{len(np.unique(ex.clusters))} clusters)")
-    return EXIT_OK
+    return ({args.out: lambda fh: json.dump(ex.to_dict(), fh)},
+            {"seed": args.seed, "baseline": seed}, [args.detector, args.train_csv],
+            f"wrote {args.out} ({len(ex)} exemplars, {len(np.unique(ex.clusters))} clusters)")
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args):
     det = Detector.load(args.detector)
     ex = ExemplarSet.load(args.exemplars)
     data = load_telemetry(args.input_csv, det.normalizer.names)
     expl = explain(det, ex, data.values, metric=args.metric, path=args.path,
                    timestamps=data.timestamps)
     lines = [json.dumps(r) + "\n" for r in expl.records()]
-    _write_all({args.out: lambda fh: fh.writelines(lines),
-                **_runlog(args.out, "explain", vars(args), {},
-                          [args.detector, args.exemplars, args.input_csv])})
-    print(f"wrote {args.out} ({len(data)} explanations)")
-    return EXIT_OK
+    return ({args.out: lambda fh: fh.writelines(lines)}, {},
+            [args.detector, args.exemplars, args.input_csv],
+            f"wrote {args.out} ({len(data)} explanations)")
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     for what, path in (("--out", args.out), ("the run log of --out", f"{args.out}.runlog.json")):
         if args.table and os.path.realpath(args.table) == os.path.realpath(path):
             raise InputError(f"--table {args.table!r} is the same file as {what} ({path!r})")
@@ -203,15 +174,11 @@ def cmd_evaluate(args) -> int:
     reports = evaluate_methods(test, methods)
     table = format_table(reports)
     report = reports_to_json(reports)
-    writers = {args.out: lambda fh: fh.write(report),
-               **_runlog(args.out, "evaluate", vars(args),
-                         {"seed": args.seed, "surrogate": sur_seed},
-                         [args.detector, args.exemplars, args.test_csv])}
+    writers = {args.out: lambda fh: fh.write(report)}
     if args.table:
         writers[args.table] = lambda fh: fh.write(table + "\n")
-    _write_all(writers)
-    print(table)
-    return EXIT_OK
+    return (writers, {"seed": args.seed, "surrogate": sur_seed},
+            [args.detector, args.exemplars, args.test_csv], table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,19 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, write its outputs and run log all or nothing, and
+    print its message; or print the error as one line. Returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (OSError, ParseError, InputError, ConfigError, ShapeError,
-            ValueError) as exc:  # the config objects raise ValueError on a bad flag
+        writers, seeds, inputs, message = args.func(args)
+        log = json.dumps({
+            "command": args.command,
+            "flags": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+            "seeds": seeds,
+            "inputs": {str(p): _sha256(p) for p in inputs},
+        }, indent=2, sort_keys=True)
+        _write_all({**writers, f"{next(iter(writers))}.runlog.json": lambda fh: fh.write(log)})
+    except (OSError, BlamekitError, ValueError) as exc:  # configs raise ValueError on a bad flag
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (TrainingError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except EmptyBaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_BASELINE
+        return EXIT_CODES.get(type(exc), 2)
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import InputError, ParseError, ShapeError
+from .errors import BlamekitError, InputError, ParseError, ShapeError
 
 
 @dataclass
@@ -116,8 +116,8 @@ class Normalizer:
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise ShapeError("min/max must be vectors of equal width")
+        if self.lo.shape != self.hi.shape or self.lo.ndim != 1 or len(self.names) != len(self.lo):
+            raise ShapeError("min/max must be vectors of equal width, one name per dimension")
         if np.any(self.lo > self.hi):
             raise InputError("per-dimension min exceeds max")
 
@@ -152,15 +152,25 @@ class Normalizer:
         return cls(np.array(d["min"]), np.array(d["max"]), list(d["names"]))
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float, if finite."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text}")
+    return v
+
+
 def load_artifact(path, from_dict, what: str):
-    """Read the JSON artifact at path through from_dict; a file that is not
-    UTF-8 JSON, a missing key or a wrong type is a ParseError naming the
-    file and `what` it should be."""
+    """Read the JSON artifact at path through from_dict. A file that is not
+    UTF-8 JSON, a non-finite number (NaN, Infinity, 1e999), an integer too
+    large for a float, a missing key, a wrong type or a value from_dict
+    rejects is a ParseError naming the file and `what` it should be."""
     try:
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+            d = json.load(fh, parse_float=_finite, parse_constant=_finite)
         return from_dict(d)
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OverflowError, KeyError, TypeError,  # JSON and UTF-8 errors: ValueError
+            BlamekitError) as exc:
         raise ParseError(f"{path}: not {what} artifact ({exc!r})") from None
 
 

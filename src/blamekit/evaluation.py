@@ -97,12 +97,13 @@ class MethodReport:
     p_values: dict[str, float] = field(default_factory=dict)
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(self.errors)) if self.errors else float("nan")
+    def mean(self) -> float | None:
+        """None (JSON null) when there are no errors, as for a failed method."""
+        return float(np.mean(self.errors)) if self.errors else None
 
     @property
-    def std(self) -> float:
-        return float(np.std(self.errors)) if self.errors else float("nan")
+    def std(self) -> float | None:
+        return float(np.std(self.errors)) if self.errors else None
 
     def to_dict(self) -> dict:
         return {
@@ -147,7 +148,8 @@ def evaluate_methods(test: LabeledSet, methods: dict) -> list[MethodReport]:
 
 
 def reports_to_json(reports: list[MethodReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    """Strict JSON: a non-finite number raises ValueError instead of writing NaN."""
+    return json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
 
 
 def format_table(reports: list[MethodReport]) -> str:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +64,8 @@ class TestTrainCommand:
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
 
-    def test_runlog_has_digests(self, pipeline):
-        log = json.loads((pipeline / "detector.json.runlog.json").read_text())
-        assert str(pipeline / "train.csv") in log["inputs"]
-        assert len(next(iter(log["inputs"].values()))) == 64
-        assert "seed" in log["seeds"]
+    def test_runlog_has_digests(self, pipeline, tmp_path):
+        check_runlog(pipeline, tmp_path, "train")
 
     def test_deterministic(self, pipeline, tmp_path):
         out = tmp_path / "det2.json"
@@ -206,6 +205,65 @@ class TestExplainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not {what} artifact")
         assert not out.exists()
+
+
+def poisoned(path, edit, literal):
+    """The JSON artifact at path with edit applied to its dict; the value
+    edit stores as "@" is written as the JSON text literal."""
+    d = json.loads(path.read_text())
+    edit(d)
+    return json.dumps(d).replace('"@"', literal)
+
+
+def set_first_weight(d):
+    d["model"]["layers"][0]["w"][0][0] = "@"
+
+
+def min_above_max(d):
+    d["normalizer"]["min"][0] = d["normalizer"]["max"][0] + 1.0
+
+
+def drop_last_name(d):
+    del d["normalizer"]["names"][-1]
+
+
+def drop_first_layer_row(d):
+    del d["model"]["layers"][0]["w"][-1]
+
+
+def set_first_coordinate(d):
+    d["exemplars"][0]["x"][0] = "@"
+
+
+def no_exemplars(d):
+    d["exemplars"] = []
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("artifact, edit, literal", [
+    ("detector.json", set_first_weight, "NaN"),
+    ("detector.json", set_first_weight, "1e999"),
+    ("detector.json", set_first_weight, "1" + "0" * 400),
+    ("detector.json", min_above_max, ""),
+    ("detector.json", drop_last_name, ""),
+    ("detector.json", drop_first_layer_row, ""),
+    ("exemplars.json", set_first_coordinate, "NaN"),
+    ("exemplars.json", no_exemplars, ""),
+], ids=["detector-nan", "detector-1e999", "detector-huge-int", "detector-min-above-max",
+        "detector-names-width", "detector-layer-width", "exemplars-nan", "exemplars-empty"])
+def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit, literal):
+    """A non-finite, overflowing or inconsistent detector or exemplar set
+    exits 2 naming the file, and nothing is written."""
+    bad = tmp_path / artifact
+    bad.write_text(poisoned(pipeline / artifact, edit, literal))
+    artifacts = {name: str(pipeline / name) for name in ("detector.json", "exemplars.json")}
+    artifacts[artifact] = str(bad)
+    out = tmp_path / "out"
+    data = small_input(pipeline, tmp_path) if command == "explain" else pipeline / "test.csv"
+    assert main([command, *artifacts.values(), str(data), "--out", str(out)]) == 2
+    what = "a detector" if artifact == "detector.json" else "an exemplar-set"
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not {what} artifact")
+    assert not out.exists() and not Path(f"{out}.runlog.json").exists()
 
 
 class TestBadInput:
@@ -368,8 +426,56 @@ class TestEvaluateCommand:
         assert rc == 2
 
 
+COMMANDS = ["benchmark", "train", "baseline", "explain", "evaluate"]
+
+
+def command_argv(command, pipeline, inp, out, seed):
+    """A short run of command on the pipeline's artifacts and the small
+    input inp, writing out (the output directory for benchmark). Every
+    output differs between seeds 0 and 1."""
+    s, det, ex = str(seed), str(pipeline / "detector.json"), str(pipeline / "exemplars.json")
+    return {
+        "benchmark": ["benchmark", "--out-dir", str(out), "--dims", "4",
+                      "--n-normal", "50", "--n-test-normal", "10",
+                      "--n-faults", "20", "--seed", s],
+        "train": ["train", str(inp), "--out", str(out), "--epochs", "1", "--seed", s],
+        "baseline": ["baseline", det, str(pipeline / "train.csv"), "--out", str(out),
+                     "--seed", s],
+        "explain": ["explain", det, ex, str(inp), "--out", str(out),
+                    "--metric", ("L2", "L1")[seed]],
+        "evaluate": ["evaluate", det, ex, str(pipeline / "test.csv"),
+                     "--out", str(out), "--table", f"{out}.txt", "--seed", s],
+    }[command]
+
+
+def check_runlog(pipeline, tmp_path, command):
+    """The run log sits next to the command's first output and holds its
+    name, its flags, its derived seeds and the SHA-256 of exactly its
+    positional input files."""
+    out = tmp_path / "out"
+    argv = command_argv(command, pipeline, small_input(pipeline, tmp_path), out, 0)
+    assert main(argv) == 0
+    primary = out / "train.csv" if command == "benchmark" else out
+    log = json.loads(Path(f"{primary}.runlog.json").read_text())
+    assert log["command"] == command
+    flags = vars(cli.build_parser().parse_args(argv))
+    assert log["flags"] == {k: v for k, v in flags.items() if k not in ("func", "command")}
+    assert set(log["seeds"]) == {
+        "benchmark": {"seed"}, "train": {"seed", "negative_sampling", "training"},
+        "baseline": {"seed", "baseline"}, "explain": set(),
+        "evaluate": {"seed", "surrogate"}}[command]
+    inputs = takewhile(lambda a: not a.startswith("--"), argv[1:])
+    assert log["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "train"])
+def test_runlog_has_digests(pipeline, tmp_path, command):
+    # train's case is TestTrainCommand.test_runlog_has_digests
+    check_runlog(pipeline, tmp_path, command)
+
+
 @pytest.mark.parametrize("blocked", ["output", "runlog"])
-@pytest.mark.parametrize("command", ["benchmark", "train", "baseline", "explain", "evaluate"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_unwritable_path_keeps_earlier_outputs(pipeline, tmp_path, capsys, command, blocked):
     """A command whose output or run-log path cannot be written exits 2
     naming it, and leaves no temp file and every earlier output as it was:
@@ -378,23 +484,9 @@ def test_unwritable_path_keeps_earlier_outputs(pipeline, tmp_path, capsys, comma
     work, inp = tmp_path / "work", small_input(pipeline, tmp_path)
     work.mkdir()
     out = work if command == "benchmark" else work / "out"
-    det, ex = str(pipeline / "detector.json"), str(pipeline / "exemplars.json")
 
     def argv(seed):
-        s = str(seed)
-        return {
-            "benchmark": ["benchmark", "--out-dir", str(out), "--dims", "4",
-                          "--n-normal", "50", "--n-test-normal", "10",
-                          "--n-faults", "20", "--seed", s],
-            "train": ["train", str(inp), "--out", str(out), "--epochs", "1",
-                      "--seed", s],
-            "baseline": ["baseline", det, str(pipeline / "train.csv"),
-                         "--out", str(out), "--seed", s],
-            "explain": ["explain", det, ex, str(inp), "--out", str(out),
-                        "--metric", ("L2", "L1")[seed]],
-            "evaluate": ["evaluate", det, ex, str(pipeline / "test.csv"),
-                         "--out", str(out), "--table", f"{out}.txt", "--seed", s],
-        }[command]
+        return command_argv(command, pipeline, inp, out, seed)
 
     assert main(argv(0)) == 0
     primary = work / "train.csv" if command == "benchmark" else out
@@ -437,6 +529,15 @@ class TestBadNumericFlags:
         err = self.check(["benchmark", "--out-dir", str(out), "--dims", "4",
                           "--fault-dims", "1,"], out, capsys)
         assert "--fault-dims" in err and "'1,'" in err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--n-test-normal", "-5", "n_test_normal"), ("--n-normal", "-1", "n_normal"),
+        ("--n-faults", "-3", "n_faults"), ("--dims", "0", "dims")])
+    def test_benchmark_size_out_of_range(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "data"
+        err = self.check(["benchmark", "--out-dir", str(out), "--dims", "4", flag, value],
+                         out, capsys)
+        assert f"{field} must be >= " in err and f"got {value}" in err
 
     def test_baseline_n_zero(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ex.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from blamekit.benchmark import (
 )
 from blamekit.cli import main
 from blamekit.errors import ConfigError, InputError, ShapeError
-from blamekit.evaluation import MethodReport, evaluate_methods, format_table
+from blamekit.evaluation import MethodReport, evaluate_methods, format_table, reports_to_json
 
 
 def write_benchmark(cfg, out_dir):
@@ -261,6 +263,21 @@ class TestEvaluateMethods:
         assert by_name["one_row"].errors == []
         assert len(by_name["uniform"].errors) == 40
         assert by_name["uniform"].p_values == {}
+
+    def test_report_is_strict_json_when_a_method_fails(self):
+        def broken(x):
+            raise RuntimeError("boom")
+
+        reports = evaluate_methods(self.fake_test_set(d=16), {
+            "uniform": lambda x: np.full(x.shape, 1.0 / 16), "broken": broken})
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        by_name = {r["method"]: r for r in json.loads(reports_to_json(reports),
+                                                      parse_constant=reject)}
+        assert by_name["broken"]["mean"] is None and by_name["broken"]["std"] is None
+        assert by_name["uniform"]["mean"] == pytest.approx(np.mean(by_name["uniform"]["errors"]))
 
     def test_too_few_anomalies_rejected(self):
         with pytest.raises(InputError):
