@@ -51,6 +51,8 @@ class BenchmarkConfig:
         for name in ("n_normal", "n_test_normal", "n_faults"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.modes:
             self.modes = default_modes(self.dims)
         for mode in self.modes:

@@ -6,8 +6,9 @@ first; the derived seeds; the input files; the line to print. `main`
 writes the outputs and, next to the primary one, a run log (command,
 flags, seeds, SHA-256 of each input) all or nothing, so any artifact
 can be reproduced exactly.
-Exit codes: 0 ok, 2 input/parse error or unwritable output, 3
-training/numeric failure, 4 empty baseline.
+Exit codes: 0 ok; 2 bad input, a refused setting (`ConfigError`) or an
+unwritable output; 3 training failure, divergence included; 4 empty
+baseline. Any other exception is a bug and escapes `main` as a traceback.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from . import benchmark as bench
 from .attribution import explain
 from .dataio import Dataset, load_telemetry, save_telemetry
 from .detector import Detector, NegativeSamplingConfig, fit_detector
-from .errors import BlamekitError, EmptyBaselineError, InputError, NumericError, TrainingError
+from .errors import BlamekitError, ConfigError, EmptyBaselineError, InputError, TrainingError
 from .evaluation import evaluate_methods, format_table, reports_to_json
 from .exemplar import ExemplarSet, select_baseline
 from .network import TrainConfig
 from .surrogate import surrogate_attribution
 
-EXIT_CODES = {TrainingError: 3, NumericError: 3, EmptyBaselineError: 4}  # any other error: 2
+EXIT_CODES = {TrainingError: 3, EmptyBaselineError: 4}  # any other error: 2
 
 
 def _sha256(path) -> str:
@@ -54,7 +55,7 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
     try:
         return tuple(int(k) for k in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _write_all(writers: dict) -> None:
@@ -78,6 +79,16 @@ def _write_all(writers: dict) -> None:
     finally:
         for tmp in temps:  # gone already once renamed
             Path(tmp).unlink(missing_ok=True)
+
+
+def _load_pair(args) -> tuple[Detector, ExemplarSet]:
+    """The detector and exemplar set the command names; an exemplar set of
+    another width than the detector is bad input naming both files."""
+    det, ex = Detector.load(args.detector), ExemplarSet.load(args.exemplars)
+    if ex.points.shape[1] != det.dims:
+        raise InputError(f"{args.exemplars}: exemplars of width {ex.points.shape[1]} do not "
+                         f"fit the detector {args.detector} of width {det.dims}")
+    return det, ex
 
 
 def cmd_benchmark(args):
@@ -137,8 +148,7 @@ def cmd_baseline(args):
 
 
 def cmd_explain(args):
-    det = Detector.load(args.detector)
-    ex = ExemplarSet.load(args.exemplars)
+    det, ex = _load_pair(args)
     data = load_telemetry(args.input_csv, det.normalizer.names)
     expl = explain(det, ex, data.values, metric=args.metric, path=args.path,
                    timestamps=data.timestamps)
@@ -152,8 +162,7 @@ def cmd_evaluate(args):
     for what, path in (("--out", args.out), ("the run log of --out", f"{args.out}.runlog.json")):
         if args.table and os.path.realpath(args.table) == os.path.realpath(path):
             raise InputError(f"--table {args.table!r} is the same file as {what} ({path!r})")
-    det = Detector.load(args.detector)
-    ex = ExemplarSet.load(args.exemplars)
+    det, ex = _load_pair(args)
     test = bench.load_labeled(args.test_csv, det.normalizer.names)
     sur_seed = _fan_out(args.seed, "surrogate")
 
@@ -258,7 +267,7 @@ def main(argv=None) -> int:
             "inputs": {str(p): _sha256(p) for p in inputs},
         }, indent=2, sort_keys=True)
         _write_all({**writers, f"{next(iter(writers))}.runlog.json": lambda fh: fh.write(log)})
-    except (OSError, BlamekitError, ValueError) as exc:  # configs raise ValueError on a bad flag
+    except (OSError, BlamekitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), 2)
     print(message)

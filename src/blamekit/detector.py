@@ -14,7 +14,7 @@ import numpy as np
 
 from . import network
 from .dataio import Dataset, Normalizer, fit_normalizer, load_artifact
-from .errors import InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 from .evaluation import rank_auc
 from .network import NetworkModel, TrainConfig
 
@@ -27,9 +27,9 @@ class NegativeSamplingConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.ratio) or self.ratio <= 0:
-            raise ValueError("negative ratio must be finite and > 0")
+            raise ConfigError("negative ratio must be finite and > 0")
         if not 0.0 <= self.envelope < 1.0:
-            raise ValueError("envelope expansion must be in [0, 1)")
+            raise ConfigError("envelope expansion must be in [0, 1)")
 
 
 @dataclass
@@ -96,7 +96,7 @@ def fit_detector(
     rng = np.random.default_rng(train_cfg.seed)
     order = rng.permutation(len(x_all))
     n_hold = int(np.floor(0.2 * len(x_all)))
-    degenerate = n_hold == 0 or len(x_all) - n_hold == 0
+    degenerate = n_hold == 0
     hold_idx, fit_idx = order[:n_hold], order[n_hold:]
     x_fit = x_all[fit_idx] if not degenerate else x_all
 

@@ -18,11 +18,8 @@ class ParseError(BlamekitError):
 
 
 class TrainingError(BlamekitError):
-    """Training cannot proceed (e.g. single-class data)."""
-
-
-class NumericError(BlamekitError):
-    """Numerical failure during optimization (loss diverged)."""
+    """Training cannot proceed (e.g. single-class data) or diverged (a
+    weight or bias became non-finite)."""
 
 
 class EmptyBaselineError(BlamekitError):
@@ -30,4 +27,5 @@ class EmptyBaselineError(BlamekitError):
 
 
 class ConfigError(BlamekitError):
-    """Benchmark or run configuration is infeasible."""
+    """A refused setting: a flag or config value out of its range, or a
+    benchmark configuration that is infeasible."""

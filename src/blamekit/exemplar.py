@@ -16,7 +16,7 @@ import numpy as np
 from . import clustering, network
 from .dataio import load_artifact
 from .detector import Detector
-from .errors import EmptyBaselineError, ShapeError
+from .errors import ConfigError, EmptyBaselineError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -97,13 +97,13 @@ def select_baseline(
     """
     x_norm = np.atleast_2d(np.asarray(x_norm, dtype=float))
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
+        raise ConfigError("epsilon must be in (0, 1)")
     if eps is not None and not eps > 0:
-        raise ValueError("DBSCAN eps must be > 0")
+        raise ConfigError("DBSCAN eps must be > 0")
     if min_pts is not None and min_pts < 1:
-        raise ValueError("DBSCAN min_pts must be >= 1")
+        raise ConfigError("DBSCAN min_pts must be >= 1")
 
     scores = network.forward_batch(det.model, x_norm)
     mask = scores > 1.0 - epsilon

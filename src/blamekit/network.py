@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, ShapeError, TrainingError
+from .errors import ConfigError, InputError, ShapeError, TrainingError
 
 # rows per batched call over a file (IG path points, surrogate samples,
 # row-exemplar pairs): the block arrays are points x first hidden width (or
@@ -113,13 +113,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ValueError("learning rate must be finite and > 0")
+            raise ConfigError("learning rate must be finite and > 0")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigError("batch size must be >= 1")
         if any(h < 1 for h in self.hidden):
-            raise ValueError("every hidden width must be >= 1")
+            raise ConfigError("every hidden width must be >= 1")
 
 
 def init_network(dims: int, hidden: tuple[int, ...], seed: int) -> NetworkModel:
@@ -233,16 +233,19 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
     # them: the batches of per-step gathers at a fraction of the calls, and
     # no permuted copy of the whole matrix above the mmap threshold
     chunk = bs * max(1, ROWS // bs)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(x))
-        for start in range(0, len(x), chunk):
-            idx = order[start : start + chunk]
-            xc, yc = x[idx], y[idx]
-            for s in range(0, len(idx), bs):
-                _sgd_step(out, xc[s : s + bs], yc[s : s + bs], lr)
-        # a NaN or inf parameter is what makes the loss non-finite; checking
-        # the parameters costs O(weights), not a pass over every row
-        if not all(np.all(np.isfinite(l.w)) and np.all(np.isfinite(l.b))
-                   for l in out.layers):
-            raise NumericError("training loss became non-finite; lower the learning rate")
+    # the parameter check below reports divergence, so the overflow on the
+    # way there stays silent; one errstate per call, not per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(x))
+            for start in range(0, len(x), chunk):
+                idx = order[start : start + chunk]
+                xc, yc = x[idx], y[idx]
+                for s in range(0, len(idx), bs):
+                    _sgd_step(out, xc[s : s + bs], yc[s : s + bs], lr)
+            # a NaN or inf parameter is what makes the loss non-finite; checking
+            # the parameters costs O(weights), not a pass over every row
+            if not all(np.all(np.isfinite(l.w)) and np.all(np.isfinite(l.b))
+                       for l in out.layers):
+                raise TrainingError("training loss became non-finite; lower the learning rate")
     return out

@@ -73,6 +73,16 @@ class TestTrainCommand:
                      *TRAIN_ARGS]) == 0
         assert out.read_bytes() == (pipeline / "detector.json").read_bytes()
 
+    def test_divergence_exit_3(self, pipeline, tmp_path, capsys):
+        """A learning rate that overflows the weights is a training failure:
+        exit 3 with one error line and no numpy warning or traceback."""
+        out = tmp_path / "d.json"
+        assert main(["train", str(pipeline / "train.csv"), "--out", str(out),
+                     "--lr", "1e300", "--epochs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() and not Path(f"{out}.runlog.json").exists()
+
 
 class TestBaselineCommand:
     def test_empty_baseline_exit_4(self, pipeline, tmp_path):
@@ -239,6 +249,11 @@ def no_exemplars(d):
     d["exemplars"] = []
 
 
+def drop_last_coordinates(d):
+    for e in d["exemplars"]:
+        del e["x"][-1]
+
+
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
 @pytest.mark.parametrize("artifact, edit, literal", [
     ("detector.json", set_first_weight, "NaN"),
@@ -263,6 +278,20 @@ def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit
     assert main([command, *artifacts.values(), str(data), "--out", str(out)]) == 2
     what = "a detector" if artifact == "detector.json" else "an exemplar-set"
     assert capsys.readouterr().err.startswith(f"error: {bad}: not {what} artifact")
+    assert not out.exists() and not Path(f"{out}.runlog.json").exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_foreign_exemplar_set_exit_2(pipeline, tmp_path, capsys, command):
+    """Exemplars one column narrower than the detector exit 2 naming both
+    files, and nothing is written."""
+    det, narrow = pipeline / "detector.json", tmp_path / "exemplars.json"
+    narrow.write_text(poisoned(pipeline / "exemplars.json", drop_last_coordinates, ""))
+    out = tmp_path / "out"
+    data = small_input(pipeline, tmp_path) if command == "explain" else pipeline / "test.csv"
+    assert main([command, str(det), str(narrow), str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(det) in err and str(narrow) in err
     assert not out.exists() and not Path(f"{out}.runlog.json").exists()
 
 
@@ -310,6 +339,18 @@ class TestBadInput:
         assert len(calls) == 1
         assert not out.exists()
         assert not Path(str(out) + ".runlog.json").exists()
+
+    def test_value_error_is_a_bug_not_bad_input(self, pipeline, tmp_path, monkeypatch):
+        """main catches only OSError and BlamekitError: a ValueError from
+        inside a command escapes as a traceback instead of exiting 2."""
+        def buggy(*args, **kwargs):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "explain", buggy)
+        out = tmp_path / "e.jsonl"
+        with pytest.raises(ValueError, match="a bug"):
+            self.run(pipeline, "explain", small_input(pipeline, tmp_path), out)
+        assert not out.exists()
 
     def bad_test_csv(self, pipeline, tmp_path, row, col, cell):
         """A copy of the labeled test.csv with one cell of one file row replaced."""
@@ -532,7 +573,7 @@ class TestBadNumericFlags:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--n-test-normal", "-5", "n_test_normal"), ("--n-normal", "-1", "n_normal"),
-        ("--n-faults", "-3", "n_faults"), ("--dims", "0", "dims")])
+        ("--n-faults", "-3", "n_faults"), ("--dims", "0", "dims"), ("--seed", "-1", "seed")])
     def test_benchmark_size_out_of_range(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "data"
         err = self.check(["benchmark", "--out-dir", str(out), "--dims", "4", flag, value],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blamekit import network
-from blamekit.errors import InputError, NumericError, ShapeError, TrainingError
+from blamekit.errors import InputError, ShapeError, TrainingError
 from blamekit.network import (
     Layer,
     NetworkModel,
@@ -150,11 +150,11 @@ class TestTrain:
             train(init_network(2, (4,), seed=0), x, np.ones(len(x)),
                   TrainConfig(0.1, 5, 16, (4,), seed=0))
 
-    def test_non_finite_loss_raises_numeric_error(self):
+    def test_non_finite_loss_raises_training_error(self):
         x, y = blobs(40)
         model = init_network(2, (4,), seed=0)
         model.layers[0].w[0, 0] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(TrainingError):
             train(model, x, y, TrainConfig(0.1, 5, 16, (4,), seed=0))
 
     def test_loss_monotone_full_batch_small_lr(self):

@@ -47,3 +47,30 @@ def test_one_writer_for_every_output():
                 callers.add((path.name, function))
     assert writers == {("cli.py", "_write_all")}
     assert callers == {("cli.py", "main")}
+
+
+def raises_value_error(node, scope=()):
+    """The dotted name of the enclosing classes and functions of every
+    `raise ValueError` under node ("" at file level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield ".".join(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from raises_value_error(child, (*scope, child.name) if named else scope)
+
+
+def test_only_code_reachable_checks_raise_value_error():
+    """A refused setting raises ConfigError, which cli.main maps to exit 2;
+    ValueError is left to checks that only code can reach, so a setting
+    check that slips back to it fails here instead of as a traceback."""
+    raisers = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+               for scope in raises_value_error(ast.parse(path.read_text()))}
+    assert raisers == {
+        ("attribution.py", "integrated_gradients"),  # path kind, steps: argparse choices
+        ("exemplar.py", "distances"),                # metric: argparse choices
+        ("network.py", "Layer.__post_init__"),       # artifacts: load_artifact -> ParseError
+        ("network.py", "NetworkModel.__post_init__"),
+        ("dataio.py", "_finite"),
+    }
