@@ -4,8 +4,11 @@ Computed from the definition (Schubert et al., 2017): a core point has
 at least `min_pts` points, itself included, within eps; clusters are the
 eps-connected components of the core points, numbered from their lowest
 index; a border point joins the lowest cluster among the core points
-within eps of it. Distances are taken in blocks of BLOCK rows against up
-to all n points, so a call takes O(n^2) time and O(BLOCK * n) memory.
+within eps of it. Distances are taken in blocks of BLOCK rows. The core
+test scans COLUMNS points at a time and stops scanning a row once it has
+min_pts neighbours; the BFS and the border pass compare a block against
+up to all n points. A call takes O(n^2) time at worst and
+O(BLOCK * max(COLUMNS, n)) memory.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 NOISE = -1
 BLOCK = 32
+COLUMNS = 1024
 
 
 def _within(points, sq, rows, cols, eps):
@@ -35,9 +39,12 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Cluster rows of `points`; returns one label per row, -1 for noise."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sq, every = np.sum(points * points, axis=1), np.arange(len(points))
-    core = np.zeros(len(points), dtype=bool)
-    for block, mask in _within(points, sq, every, every, eps):
-        core[block] = mask.sum(axis=1) >= min_pts
+    count, scan = np.zeros(len(points), dtype=int), every
+    for start in range(0, len(points), COLUMNS):
+        for block, mask in _within(points, sq, scan, every[start:start + COLUMNS], eps):
+            count[block] += np.count_nonzero(mask, axis=1)
+        scan = scan[count[scan] < min_pts]  # a row with min_pts neighbours is core already
+    core = count >= min_pts
 
     labels, n_clusters = np.full(len(points), NOISE), 0
     while (todo := np.flatnonzero(core & (labels == NOISE))).size:
@@ -51,10 +58,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
             frontier = todo[reached]
         n_clusters += 1
 
-    cores = np.flatnonzero(core)  # n_clusters below stands for "no core point within eps"
-    for block, mask in _within(points, sq, np.flatnonzero(~core), cores, eps):
-        labels[block] = np.where(mask, labels[cores], n_clusters).min(axis=1, initial=n_clusters)
-    labels[labels == n_clusters] = NOISE
+    border = np.flatnonzero(~core)  # each border point joins the first cluster that reaches it
+    for cluster in range(n_clusters):
+        reached = np.zeros(len(points), dtype=bool)
+        for block, mask in _within(points, sq, border, np.flatnonzero(labels == cluster), eps):
+            reached[block] = mask.any(axis=1)
+        labels[reached] = cluster
+        border = border[~reached[border]]
     return labels
 
 

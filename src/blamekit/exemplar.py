@@ -16,7 +16,7 @@ import numpy as np
 from . import clustering, network
 from .dataio import load_artifact
 from .detector import Detector
-from .errors import ConfigError, EmptyBaselineError, ShapeError
+from .errors import ConfigError, EmptyBaselineError, InputError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +104,8 @@ def select_baseline(
         raise ConfigError("DBSCAN eps must be > 0")
     if min_pts is not None and min_pts < 1:
         raise ConfigError("DBSCAN min_pts must be >= 1")
+    if len(x_norm) == 0:
+        raise InputError("cannot select a baseline from an empty dataset")
 
     scores = network.forward_batch(det.model, x_norm)
     mask = scores > 1.0 - epsilon

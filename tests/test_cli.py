@@ -91,6 +91,16 @@ class TestBaselineCommand:
                    "--epsilon", "0.0001"])
         assert rc == 4
 
+    def test_empty_training_file_exit_2(self, pipeline, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        header = (pipeline / "train.csv").read_text(encoding="utf-8").splitlines()[0]
+        empty.write_text(header + "\n", encoding="utf-8")
+        out = tmp_path / "ex.json"
+        rc = main(["baseline", str(pipeline / "detector.json"), str(empty), "--out", str(out)])
+        assert rc == 2
+        assert "empty dataset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, pipeline, tmp_path):
         out = tmp_path / "ex2.json"
         assert main(["baseline", str(pipeline / "detector.json"),

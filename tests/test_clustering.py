@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blamekit import clustering
 from blamekit.clustering import BLOCK, NOISE, dbscan
 
 
@@ -82,3 +83,44 @@ class TestDbscan:
             tracemalloc.stop()
         assert np.all(labels == 0)
         assert peak < 2 * 2**20
+
+
+class TestColumnBlocks:
+    """The core test scans COLUMNS points at a time and stops scanning a row
+    once it is core; the labels must not depend on where blocks split."""
+
+    @pytest.mark.parametrize("columns", [1, 7, 33])
+    def test_reference_cases_under_small_blocks(self, monkeypatch, columns):
+        monkeypatch.setattr(clustering, "COLUMNS", columns)
+        cases = TestDbscan()
+        cases.test_shared_border_point_goes_to_lowest_cluster()
+        for seed in range(8):
+            cases.test_matches_brute_force_reference(seed)
+
+    def test_neighbour_counts_cross_block_boundaries(self, monkeypatch):
+        # blocks of 4 columns, min_pts 4: row 0's neighbours are columns 0, 5,
+        # 6 and 7, so its 4th is the last column of the second block; row 8
+        # has 3 neighbours, columns 3, 8 and 13, one in each of three blocks
+        monkeypatch.setattr(clustering, "COLUMNS", 4)
+        x = 10.0 + np.arange(16.0)
+        x[[0, 5, 6, 7]] = [0.0, 0.02, 0.04, 0.06]
+        x[[3, 8, 13]] = [5.04, 5.0, 4.96]
+        pts = np.column_stack([x, np.zeros(16)])
+        labels = dbscan(pts, 0.1, 4)
+        expected = np.full(16, NOISE)
+        expected[[0, 5, 6, 7]] = 0
+        np.testing.assert_array_equal(labels, expected)
+        np.testing.assert_array_equal(labels, reference_dbscan(pts, 0.1, 4))
+
+    def test_two_mode_8d_set_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(clustering, "COLUMNS", 64)
+        rng = np.random.default_rng(0)
+        idx = np.arange(8)
+        modes = [0.25 + 0.1 * (idx % 2), 0.65 + 0.1 * ((idx + 1) % 2)]
+        pts = np.vstack([rng.normal(c, 0.06, size=(300, 8)) for c in modes])
+        pts = pts[rng.permutation(len(pts))]
+        eps, min_pts = clustering.default_eps(8), clustering.default_min_pts(len(pts))
+        labels = dbscan(pts, eps, min_pts)
+        # two clusters, with border points and noise
+        assert set(labels.tolist()) == {NOISE, 0, 1}
+        np.testing.assert_array_equal(labels, reference_dbscan(pts, eps, min_pts))
