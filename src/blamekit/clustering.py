@@ -6,18 +6,22 @@ eps-connected components of the core points, numbered from their lowest
 index; a border point joins the lowest cluster among the core points
 within eps of it.
 
-The points are sorted by their highest-variance coordinate, the key, and
-processed in that order; the labels are mapped back at the end, and each
-BFS starts from the unreached core point of lowest original index, so
-the numbering is the definition's. Distances are taken in blocks of
-BLOCK rows, and a block is compared only with the columns whose key lies
-within `reach` of the block's keys: a contiguous slice, since rows and
-columns stay sorted by key. A pair is skipped only where its computed
-squared distance exceeds eps^2 as well (the bound is in `dbscan`), so
-pruning pairs that provably lie beyond eps (Gan & Tao, 2015) changes no
-label. The core test scans COLUMNS points at a time and stops scanning a
-row once it has min_pts neighbours; the BFS and the border pass compare a
-block against up to all n points. A call takes O(n^2) time at worst and
+Two passes: the core test, then a breadth-first search (BFS) per
+cluster in label order, which labels each unlabelled point it reaches
+and spreads only through reached core points; so a border point joins
+the first, that is the lowest, cluster within eps. The points are sorted
+by their highest-variance coordinate, the key, and processed in that
+order; the labels are mapped back at the end, and each BFS starts from
+the unlabelled core point of lowest original index, so the numbering is
+the definition's. Distances are taken in blocks of BLOCK rows, and a
+block is compared only with the columns whose key lies within `reach`
+of the block's keys: a contiguous slice, since rows and columns stay
+sorted by key. A pair is skipped only where its computed squared
+distance exceeds eps^2 as well (the bound is in `dbscan`), so pruning
+pairs that provably lie beyond eps (Gan & Tao, 2015) changes no label.
+The core test scans COLUMNS points at a time and stops scanning a row
+once it has min_pts neighbours; the BFS compares a frontier block with
+up to all n points. A call takes O(n^2) time at worst and
 O(BLOCK * n + n * D) memory.
 """
 
@@ -90,23 +94,16 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     labels, n_clusters = np.full(len(points), NOISE), 0
     while (todo := np.flatnonzero(core & (labels == NOISE))).size:
         frontier = todo[[np.argmin(order[todo])]]  # the lowest original index starts a cluster
+        labels[frontier] = n_clusters
         while frontier.size:
-            labels[frontier] = n_clusters
-            todo = np.flatnonzero(core & (labels == NOISE))
+            todo = np.flatnonzero(labels == NOISE)
             reached = np.zeros(len(todo), dtype=bool)
             for _, window, mask in _within(points, sq, key, reach, frontier, todo, eps):
                 reached[window] |= mask.any(axis=0)
-            frontier = todo[reached]
+            # a border point joins the first cluster that reaches it; only cores spread
+            labels[todo[reached]] = n_clusters
+            frontier = todo[reached & core[todo]]
         n_clusters += 1
-
-    border = np.flatnonzero(~core)  # each border point joins the first cluster that reaches it
-    for cluster in range(n_clusters):
-        reached = np.zeros(len(points), dtype=bool)
-        cores = np.flatnonzero(labels == cluster)
-        for block, _, mask in _within(points, sq, key, reach, border, cores, eps):
-            reached[block] = mask.any(axis=1)
-        labels[reached] = cluster
-        border = border[~reached[border]]
 
     out = np.empty_like(labels)
     out[order] = labels

@@ -4,7 +4,8 @@ CSV contract: first row is a header; an optional leading column named
 "ts" carries ISO 8601 UTC timestamps; every other column is real-valued
 with '.' decimal separator. Rows with blanks, non-numeric or non-finite
 (nan, inf) cells are rejected with the offending location, and a file
-that is not UTF-8 is rejected naming it.
+that is not UTF-8, or whose header has an empty column name, is rejected
+naming it. A UTF-8 byte-order mark at the start of the file is skipped.
 
 load_telemetry streams the rows after the header through np.loadtxt,
 whose C reader parses each cell with PyOS_string_to_double, the routine
@@ -101,7 +102,7 @@ def load_telemetry(path, expected: list[str] | None = None) -> Dataset:
 
 
 def _read(path, expected) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -113,6 +114,8 @@ def _read(path, expected) -> Dataset:
             raise ParseError(f"{path}: columns {names} do not match the expected {expected}")
         if len(set(names)) != len(names):
             raise ParseError(f"{path}: duplicate column headers")
+        if "" in names:
+            raise ParseError(f"{path}: empty column header")
         if not names:
             raise ParseError(f"{path}: no value columns")
 

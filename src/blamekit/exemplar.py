@@ -100,8 +100,8 @@ def select_baseline(
         raise ConfigError("n must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must be in (0, 1)")
-    if eps is not None and not eps > 0:
-        raise ConfigError("DBSCAN eps must be > 0")
+    if eps is not None and not (np.isfinite(eps) and eps > 0):
+        raise ConfigError("DBSCAN eps must be finite and > 0")
     if min_pts is not None and min_pts < 1:
         raise ConfigError("DBSCAN min_pts must be >= 1")
     if len(x_norm) == 0:

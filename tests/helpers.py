@@ -47,7 +47,7 @@ def steepened(det, factor):
 def reference_load_telemetry(path, expected=None):
     """load_telemetry as a per-cell csv/float() loop: the reference for which
     inputs are accepted, their values, and the message of each rejection."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -59,6 +59,8 @@ def reference_load_telemetry(path, expected=None):
             raise ParseError(f"{path}: columns {names} do not match the expected {expected}")
         if len(set(names)) != len(names):
             raise ParseError(f"{path}: duplicate column headers")
+        if "" in names:
+            raise ParseError(f"{path}: empty column header")
         if not names:
             raise ParseError(f"{path}: no value columns")
 

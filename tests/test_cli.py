@@ -73,6 +73,15 @@ class TestTrainCommand:
                      *TRAIN_ARGS]) == 0
         assert out.read_bytes() == (pipeline / "detector.json").read_bytes()
 
+    def test_byte_order_mark_not_a_name(self, pipeline, tmp_path):
+        inp = small_input(pipeline, tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + inp.read_bytes())
+        det = tmp_path / "d.json"
+        assert main(["train", str(bom), "--out", str(det), "--epochs", "1"]) == 0
+        assert main(["explain", str(det), str(pipeline / "exemplars.json"), str(inp),
+                     "--out", str(tmp_path / "e.jsonl")]) == 0
+
     def test_divergence_exit_3(self, pipeline, tmp_path, capsys):
         """A learning rate that overflows the weights is a training failure:
         exit 3 with one error line and no numpy warning or traceback."""
@@ -620,7 +629,7 @@ class TestBadNumericFlags:
         assert "ratio" in self.check(["train", str(pipeline / "train.csv"), "--out", str(out),
                                       "--ratio", ratio], out, capsys)
 
-    @pytest.mark.parametrize("eps", ["-0.2", "0"])
+    @pytest.mark.parametrize("eps", ["-0.2", "0", "inf", "nan"])
     def test_baseline_eps_not_positive(self, pipeline, tmp_path, capsys, eps):
         out = tmp_path / "ex.json"
         assert "eps" in self.check(["baseline", str(pipeline / "detector.json"),

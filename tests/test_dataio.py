@@ -49,6 +49,20 @@ class TestLoadTelemetry:
         with pytest.raises(ParseError, match="duplicate"):
             load_telemetry(write(tmp_path, "a,a\n1,2\n"))
 
+    @pytest.mark.parametrize("header", ["a,,b", "a,b,", "ts,a,"])
+    def test_empty_header_named(self, tmp_path, header):
+        path = write(tmp_path, header + "\n1,2,3\n")
+        with pytest.raises(ParseError, match=f"{path}: empty column header"):
+            load_telemetry(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfts,a\n2020-01-01T00:00:00Z,1\n")
+        ds = load_telemetry(path)
+        assert ds.names == ["a"]
+        assert ds.timestamps == [datetime(2020, 1, 1, tzinfo=timezone.utc)]
+        np.testing.assert_array_equal(ds.values, [[1.0]])
+
     def test_timestamp_column(self, tmp_path):
         ds = load_telemetry(write(
             tmp_path, "ts,a,b\n2024-01-01T00:00:00Z,1,2\n2024-01-01T00:05:00Z,3,4\n"))
@@ -138,7 +152,7 @@ class TestStreamedParse:
     @pytest.mark.parametrize("text", [
         "a,b\n", "a,b", "a\n1\n\n", "a\n1\n\r", "a\n\r\n1\n", "a,b\n 1.5 ,2\n",
         "a\n1_000\n", "a\n1e999\n", 'a,b\n"1",2\n', "a\n3\x1c\n", "a,b\r1,2\r3,4",
-        "ts,a\n2024-01-01T00:00:00Z,1\n",
+        "ts,a\n2024-01-01T00:00:00Z,1\n", "\ufeffa,b\n1,2\n", "\ufeffa,b\nx,2\n",
     ])
     def test_named_cases_match_reference_loop(self, tmp_path, text):
         path = tmp_path / "data.csv"
