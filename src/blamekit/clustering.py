@@ -6,22 +6,21 @@ eps-connected components of the core points, numbered from their lowest
 index; a border point joins the lowest cluster among the core points
 within eps of it.
 
-Two passes: the core test, then a breadth-first search (BFS) per
-cluster in label order, which labels each unlabelled point it reaches
-and spreads only through reached core points; so a border point joins
-the first, that is the lowest, cluster within eps. The points are sorted
-by their highest-variance coordinate, the key, and processed in that
-order; the labels are mapped back at the end, and each BFS starts from
-the unlabelled core point of lowest original index, so the numbering is
-the definition's. Distances are taken in blocks of BLOCK rows, and a
-block is compared only with the columns whose key lies within `reach`
-of the block's keys: a contiguous slice, since rows and columns stay
-sorted by key. A pair is skipped only where its computed squared
-distance exceeds eps^2 as well (the bound is in `dbscan`), so pruning
-pairs that provably lie beyond eps (Gan & Tao, 2015) changes no label.
-The core test scans COLUMNS points at a time and stops scanning a row
-once it has min_pts neighbours; the BFS compares a frontier block with
-up to all n points. A call takes O(n^2) time at worst and
+Two passes: the core test, then a BFS per cluster in label order that
+labels each unlabelled point it reaches and spreads only through core
+points, so a border point takes the first cluster to reach it. The
+points are sorted by their highest-variance coordinate, the key, and
+processed in that order; the labels are mapped back at the end, and each
+BFS starts from the unlabelled core point of lowest original index, so
+the numbering is the definition's. Distances are taken in blocks of
+BLOCK rows, and a block is compared only with the columns whose key lies
+within `reach` of the block's keys: a contiguous slice, since rows and
+columns stay sorted by key. A pair is skipped only where its computed
+squared distance exceeds eps^2 as well (the bound is in `dbscan`), so
+pruning pairs that provably lie beyond eps (Gan & Tao, 2015) changes no
+label. The core test scans COLUMNS points at a time and stops scanning a
+row once it has min_pts neighbours; the BFS compares a frontier block
+with up to all n points. A call takes O(n^2) time at worst and
 O(BLOCK * n + n * D) memory.
 """
 

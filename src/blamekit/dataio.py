@@ -3,9 +3,9 @@
 CSV contract: first row is a header; an optional leading column named
 "ts" carries ISO 8601 UTC timestamps; every other column is real-valued
 with '.' decimal separator. Rows with blanks, non-numeric or non-finite
-(nan, inf) cells are rejected with the offending location, and a file
-that is not UTF-8, or whose header has an empty column name, is rejected
-naming it. A UTF-8 byte-order mark at the start of the file is skipped.
+(nan, inf) cells are rejected with the offending location, a file that
+is not UTF-8 or has an empty header cell is rejected naming it, and a
+leading UTF-8 byte-order mark is skipped.
 
 load_telemetry streams the rows after the header through np.loadtxt,
 whose C reader parses each cell with PyOS_string_to_double, the routine
