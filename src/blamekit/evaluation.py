@@ -3,7 +3,9 @@
 The attribution error is the mean absolute difference between a
 method's blame vector and the labeled ground-truth vector. Methods are
 compared per anomalous row and ranked with a two-sided Mann-Whitney U
-test at the 5% level. The same U over P*N is the detector's AUC.
+test at the 5% level, once per pair of methods. The same U over P*N is
+the detector's AUC. A method that raises stops the evaluation with its
+own error, so every report holds every method's errors.
 """
 
 from __future__ import annotations
@@ -93,17 +95,16 @@ def mann_whitney_u(errs_a, errs_b) -> tuple[float, float]:
 class MethodReport:
     name: str
     errors: list[float] = field(default_factory=list)
-    failed: str | None = None
     p_values: dict[str, float] = field(default_factory=dict)
 
     @property
-    def mean(self) -> float | None:
-        """None (JSON null) when there are no errors, as for a failed method."""
-        return float(np.mean(self.errors)) if self.errors else None
+    def mean(self) -> float:
+        """Mean attribution error over the method's rows."""
+        return float(np.mean(self.errors))
 
     @property
-    def std(self) -> float | None:
-        return float(np.std(self.errors)) if self.errors else None
+    def std(self) -> float:
+        return float(np.std(self.errors))
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +112,6 @@ class MethodReport:
             "errors": self.errors,
             "mean": self.mean,
             "std": self.std,
-            "failed": self.failed,
             "p_values": self.p_values,
         }
 
@@ -121,29 +121,20 @@ def evaluate_methods(test: LabeledSet, methods: dict) -> list[MethodReport]:
 
     `methods` maps a name to a callable that takes the (N, D) matrix of
     raw anomalous observations and returns their (N, D) blame matrix. A
-    method that raises, or returns another shape, gets its whole column
-    marked failed with the diagnostic; the others continue. Normal rows
+    method's exception propagates, and a method that returns another
+    shape raises ShapeError. Each pair of methods is ranked once; the
+    two-sided p is symmetric, so both reports store it. Normal rows
     never enter error aggregation.
     """
     x, beta = test.x[test.anomalous], test.beta[test.anomalous]
     if len(x) < 30:
         raise InputError(f"need at least 30 anomalous rows, got {len(x)}")
 
-    reports = []
-    for name, fn in methods.items():
-        report = MethodReport(name)
-        try:
-            report.errors = attribution_error(fn(x), beta).tolist()
-        except Exception as exc:  # noqa: BLE001 - column-level diagnostic
-            report.failed = f"{type(exc).__name__}: {exc}"
-        reports.append(report)
-
-    for ra in reports:
-        for rb in reports:
-            if ra.name == rb.name or ra.failed or rb.failed:
-                continue
-            _, p = mann_whitney_u(ra.errors, rb.errors)
-            ra.p_values[rb.name] = p
+    reports = [MethodReport(name, attribution_error(fn(x), beta).tolist())
+               for name, fn in methods.items()]
+    for ra, rb in combinations(reports, 2):
+        _, p = mann_whitney_u(ra.errors, rb.errors)
+        ra.p_values[rb.name] = rb.p_values[ra.name] = p
     return reports
 
 
@@ -157,16 +148,12 @@ def format_table(reports: list[MethodReport]) -> str:
     headers = ["method", "n", "mean", "std", *("p vs " + r.name for r in reports)]
     rows = []
     for r in reports:
-        if r.failed:
-            rows.append([r.name, "-", "FAILED", r.failed] + ["-"] * len(reports))
-            continue
         cells = [r.name, str(len(r.errors)), f"{r.mean:.4f}", f"{r.std:.4f}"]
         for other in reports:
             p = r.p_values.get(other.name)
             cells.append("-" if p is None else f"{p:.4g}")
         rows.append(cells)
-    widths = [max(len(h), *(len(row[i]) if i < len(row) else 0 for row in rows))
-              for i, h in enumerate(headers)]
+    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:

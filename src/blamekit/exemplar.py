@@ -66,9 +66,14 @@ class ExemplarSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExemplarSet":
+        """Exemplars are normalized training rows, so a point outside the
+        unit cube [0, 1]^D is refused (InputError)."""
         ex = d["exemplars"]
+        points = np.array([e["x"] for e in ex], dtype=float)
+        if not np.all((points >= 0.0) & (points <= 1.0)):
+            raise InputError("exemplar points must lie in the unit cube [0, 1]^D")
         return cls(
-            np.array([e["x"] for e in ex], dtype=float),
+            points,
             np.array([e["cluster"] for e in ex], dtype=int),
             np.array([e["score"] for e in ex], dtype=float),
             dict(d.get("params", {})),

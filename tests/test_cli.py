@@ -268,6 +268,11 @@ def no_exemplars(d):
     d["exemplars"] = []
 
 
+def first_coordinates_outside_cube(d):
+    for e in d["exemplars"]:
+        e["x"][0] = "@"
+
+
 def drop_last_coordinates(d):
     for e in d["exemplars"]:
         del e["x"][-1]
@@ -283,8 +288,10 @@ def drop_last_coordinates(d):
     ("detector.json", drop_first_layer_row, ""),
     ("exemplars.json", set_first_coordinate, "NaN"),
     ("exemplars.json", no_exemplars, ""),
+    ("exemplars.json", first_coordinates_outside_cube, "1e300"),
 ], ids=["detector-nan", "detector-1e999", "detector-huge-int", "detector-min-above-max",
-        "detector-names-width", "detector-layer-width", "exemplars-nan", "exemplars-empty"])
+        "detector-names-width", "detector-layer-width", "exemplars-nan", "exemplars-empty",
+        "exemplars-outside-cube"])
 def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit, literal):
     """A non-finite, overflowing or inconsistent detector or exemplar set
     exits 2 naming the file, and nothing is written."""
@@ -490,6 +497,30 @@ class TestEvaluateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--table" in err and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def run_with_failing_surrogate(self, pipeline, tmp_path, monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "surrogate_attribution", failing)
+        return main(["evaluate", str(pipeline / "detector.json"),
+                     str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
+                     "--out", str(tmp_path / "r.json"), "--table", str(tmp_path / "t.txt")])
+
+    def test_method_error_exit_2(self, pipeline, tmp_path, monkeypatch, capsys):
+        """A method's bad-input error fails the command like any other:
+        exit 2, one error line, and no report, run log or temp file."""
+        rc = self.run_with_failing_surrogate(pipeline, tmp_path, monkeypatch,
+                                             InputError("bad surrogate"))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: bad surrogate\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_method_bug_escapes(self, pipeline, tmp_path, monkeypatch):
+        with pytest.raises(IndexError, match="a bug"):
+            self.run_with_failing_surrogate(pipeline, tmp_path, monkeypatch,
+                                            IndexError("a bug"))
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_method_exit_2(self, pipeline, tmp_path):

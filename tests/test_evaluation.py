@@ -6,6 +6,7 @@ import pytest
 from blamekit import (
     BenchmarkConfig,
     attribution_error,
+    evaluation,
     generate_fault_benchmark,
     mann_whitney_u,
 )
@@ -110,9 +111,10 @@ class TestMannWhitney:
         for _ in range(50):
             a = rng.integers(0, 5, size=rng.integers(3, 15)).astype(float)
             b = rng.integers(0, 5, size=rng.integers(3, 15)).astype(float)
-            ua, _ = mann_whitney_u(a, b)
-            ub, _ = mann_whitney_u(b, a)
+            ua, pa = mann_whitney_u(a, b)
+            ub, pb = mann_whitney_u(b, a)
             assert ua + ub == pytest.approx(len(a) * len(b))
+            assert pa == pb  # evaluate_methods ranks each pair once
 
     def test_u_matches_pairwise_count(self):
         rng = np.random.default_rng(3)
@@ -246,38 +248,48 @@ class TestEvaluateMethods:
         assert r.mean == pytest.approx(np.mean(r.errors), abs=1e-12)
         assert r.std == pytest.approx(np.std(r.errors), abs=1e-12)
 
-    def test_failing_method_isolated(self):
+    def test_failing_method_propagates(self):
+        """A method's error stops the evaluation instead of marking a column."""
         def broken(x):
             raise RuntimeError("boom")
 
         test = self.fake_test_set(d=16)
-        reports = evaluate_methods(test, {
-            "uniform": lambda x: np.full(x.shape, 1.0 / 16),
-            "broken": broken,
-            "one_row": lambda x: np.full(16, 1.0 / 16),  # not one blame row per input row
-        })
-        by_name = {r.name: r for r in reports}
-        assert by_name["broken"].failed is not None
-        assert "boom" in by_name["broken"].failed
-        assert by_name["one_row"].failed.startswith("ShapeError")
-        assert by_name["one_row"].errors == []
-        assert len(by_name["uniform"].errors) == 40
-        assert by_name["uniform"].p_values == {}
+        uniform = lambda x: np.full(x.shape, 1.0 / 16)  # noqa: E731
+        with pytest.raises(RuntimeError, match="boom"):
+            evaluate_methods(test, {"uniform": uniform, "broken": broken})
+        with pytest.raises(ShapeError):  # not one blame row per input row
+            evaluate_methods(test, {"uniform": uniform,
+                                    "one_row": lambda x: np.full(16, 1.0 / 16)})
 
-    def test_report_is_strict_json_when_a_method_fails(self):
-        def broken(x):
-            raise RuntimeError("boom")
+    def test_each_pair_ranked_once(self, monkeypatch):
+        """One rank test per unordered pair; both reports hold its p, keyed
+        in method order."""
+        calls = []
 
-        reports = evaluate_methods(self.fake_test_set(d=16), {
-            "uniform": lambda x: np.full(x.shape, 1.0 / 16), "broken": broken})
+        def counted(a, b):
+            calls.append(1)
+            return mann_whitney_u(a, b)
 
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
+        monkeypatch.setattr(evaluation, "mann_whitney_u", counted)
+        def noise(seed):
+            return lambda x: np.random.default_rng(seed).uniform(size=x.shape)
 
-        by_name = {r["method"]: r for r in json.loads(reports_to_json(reports),
-                                                      parse_constant=reject)}
-        assert by_name["broken"]["mean"] is None and by_name["broken"]["std"] is None
-        assert by_name["uniform"]["mean"] == pytest.approx(np.mean(by_name["uniform"]["errors"]))
+        methods = {name: noise(seed) for seed, name in enumerate("abcd")}
+        reports = evaluate_methods(self.fake_test_set(d=16), methods)
+        assert len(calls) == 6
+        for r in reports:
+            others = [o for o in reports if o is not r]
+            assert list(r.p_values) == [o.name for o in others]
+            assert r.p_values == {o.name: mann_whitney_u(r.errors, o.errors)[1]
+                                  for o in others}
+
+    def test_report_is_strict_json(self):
+        with pytest.raises(ValueError):
+            reports_to_json([MethodReport("nan", [float("nan")] * 3)])
+        test = self.fake_test_set(d=16)
+        reports = evaluate_methods(test, {"uniform": lambda x: np.full(x.shape, 1.0 / 16)})
+        (back,) = json.loads(reports_to_json(reports))
+        assert back["mean"] == reports[0].mean and back["std"] == reports[0].std
 
     def test_too_few_anomalies_rejected(self):
         with pytest.raises(InputError):

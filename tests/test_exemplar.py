@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from blamekit import network
 from blamekit.dataio import Normalizer
 from blamekit.detector import Detector
-from blamekit.errors import EmptyBaselineError, ShapeError
+from blamekit.errors import EmptyBaselineError, InputError, ShapeError
 from blamekit.exemplar import (
     ExemplarSet,
     distances,
@@ -128,6 +128,17 @@ class TestSelectBaseline:
         np.testing.assert_array_equal(ex8.points, clone.points)
         np.testing.assert_array_equal(ex8.clusters, clone.clusters)
         assert clone.params["epsilon"] == ex8.params["epsilon"]
+
+    @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12, 1e300])
+    def test_point_outside_unit_cube_refused(self, value):
+        def artifact(last):
+            return {"exemplars": [{"x": [0.0, 1.0], "cluster": 0, "score": 1.0},
+                                  {"x": [0.5, last], "cluster": 0, "score": 1.0}]}
+
+        # the cube's faces are inside it
+        assert ExemplarSet.from_dict(artifact(0.5)).points.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+        with pytest.raises(InputError, match="unit cube"):
+            ExemplarSet.from_dict(artifact(value))
 
 
 class TestNaiveBaseline:

@@ -74,3 +74,21 @@ def test_only_code_reachable_checks_raise_value_error():
         ("network.py", "NetworkModel.__post_init__"),
         ("dataio.py", "_finite"),
     }
+
+
+def catches_all(handler):
+    """A bare `except`, or one naming Exception or BaseException, alone or in a tuple."""
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException") for t in types)
+
+
+def test_no_catch_all_handler():
+    """An error is handled where it is named; anything else reaches
+    cli.main, which maps BlamekitError and OSError to exit codes and lets
+    a bug escape as a traceback."""
+    handlers = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and catches_all(node)]
+    assert handlers == []
