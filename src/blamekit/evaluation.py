@@ -94,7 +94,7 @@ def mann_whitney_u(errs_a, errs_b) -> tuple[float, float]:
 @dataclass
 class MethodReport:
     name: str
-    errors: list[float] = field(default_factory=list)
+    errors: list[float]
     p_values: dict[str, float] = field(default_factory=dict)
 
     @property
