@@ -208,15 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_benchmark)
 
+    # the training defaults are the config dataclasses' own
     p = sub.add_parser("train", help="fit the negative-sampling detector")
     p.add_argument("train_csv")
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", default="16", help="comma-separated hidden widths")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--ratio", type=float, default=3.0)
-    p.add_argument("--envelope", type=float, default=0.05)
+    p.add_argument("--hidden", default=",".join(map(str, TrainConfig.hidden)),
+                   help="comma-separated hidden widths")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--ratio", type=float, default=NegativeSamplingConfig.ratio)
+    p.add_argument("--envelope", type=float, default=NegativeSamplingConfig.envelope)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

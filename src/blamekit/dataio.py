@@ -209,7 +209,8 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(np.array(d["min"]), np.array(d["max"]), list(d["names"]))
+        return cls(finite_array(d["min"], (None,), "normalizer.min"),
+                   finite_array(d["max"], (None,), "normalizer.max"), list(d["names"]))
 
 
 def _finite(text: str) -> float:
@@ -218,6 +219,28 @@ def _finite(text: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"non-finite number {text}")
     return v
+
+
+def finite_array(value, shape: tuple, where: str) -> np.ndarray:
+    """A JSON value as a float array of `shape` (None matches any length).
+    null, a boolean, a string, a ragged or mis-shaped list and a value that
+    is not finite as a float are refused with an InputError naming the key
+    path `where` (and the index of a bad entry)."""
+    cells = np.array(value, dtype=object)
+    if cells.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, cells.shape)):
+        want = " x ".join("N" if n is None else str(n) for n in shape) or "a number"
+        raise InputError(f"{where}: expected {want}, got {json.dumps(value)[:80]}")
+    for index, cell in np.ndenumerate(cells):
+        if type(cell) not in (int, float):  # bool is an int subclass, not a number here
+            at = "".join(f"[{i}]" for i in index)
+            raise InputError(f"{where}{at}: {json.dumps(cell)[:80]} is not a number")
+    try:
+        values = cells.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"{where}: a value is beyond the float range") from None
+    if not np.isfinite(values).all():
+        raise InputError(f"{where}: not every value is finite")
+    return values
 
 
 def load_artifact(path, from_dict, what: str):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering, network
-from .dataio import load_artifact
+from .dataio import finite_array, load_artifact
 from .detector import Detector
 from .errors import ConfigError, EmptyBaselineError, InputError, ShapeError
 
@@ -66,18 +66,25 @@ class ExemplarSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExemplarSet":
-        """Exemplars are normalized training rows, so a point outside the
-        unit cube [0, 1]^D is refused (InputError)."""
-        ex = d["exemplars"]
-        points = np.array([e["x"] for e in ex], dtype=float)
+        """Exemplars are normalized training rows that the detector scores,
+        so a point outside the unit cube [0, 1]^D, points of unequal width,
+        a score outside [0, 1] or a cluster that is not an integer is
+        refused (InputError)."""
+        points, clusters, scores = [], [], []
+        for i, e in enumerate(d["exemplars"]):
+            points.append(finite_array(e["x"], (None,), f"exemplars[{i}].x"))
+            scores.append(finite_array(e["score"], (), f"exemplars[{i}].score"))
+            if type(e["cluster"]) is not int:
+                raise InputError(f"exemplars[{i}].cluster: {e['cluster']!r} is not an integer")
+            clusters.append(e["cluster"])
+        if len({len(p) for p in points}) > 1:
+            raise InputError("exemplar points differ in width")
+        points, scores = np.array(points), np.array(scores)
         if not np.all((points >= 0.0) & (points <= 1.0)):
             raise InputError("exemplar points must lie in the unit cube [0, 1]^D")
-        return cls(
-            points,
-            np.array([e["cluster"] for e in ex], dtype=int),
-            np.array([e["score"] for e in ex], dtype=float),
-            dict(d.get("params", {})),
-        )
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise InputError("exemplar scores must lie in [0, 1]")
+        return cls(points, np.array(clusters, dtype=int), scores, dict(d.get("params", {})))
 
     @classmethod
     def load(cls, path) -> "ExemplarSet":

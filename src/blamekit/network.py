@@ -13,8 +13,15 @@ over them (the gradient multiplies dF/dz1 by W1ᵀ); a single observation
 is a one-row matrix, `forward_batch(model, x[None])[0]`. Because the
 first layer is affine, a caller that scores points affine in x (a shared
 perturbation cloud, a straight path) can build their z1 from a few
-per-row products instead of one per point. `_sgd_step` runs the same
-layer loop from z1 and backpropagates through it.
+per-row products instead of one per point.
+
+`train` keeps every parameter in one flat vector: each layer is a
+(fan_in + 1, fan_out) view of it with the bias as the last row, and the
+batch and each hidden activation carry a ones column, so every product
+adds its bias. `_sgd_step` writes each layer's gradient into a view of
+one flat gradient and updates all parameters with one subtraction, about
+16 numpy calls per step for one hidden layer; `train` returns `Layer`
+copies, so inference and the artifact format do not see the layout.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import finite_array
 from .errors import ConfigError, InputError, ShapeError, TrainingError
 
 # rows per batched call over a file (IG path points, surrogate samples,
@@ -35,10 +43,10 @@ ROWS = 512
 # overhead, and the output layer's (N, 1)·(1, H) product is ~3x faster
 
 
-def logistic(z):
+def logistic(z, out=None):
     # the lower clamp keeps exp() from overflowing; above 500 exp(-z) is far
     # below 1's rounding, so no upper clamp is needed to get exactly 1.0
-    return 1.0 / (1.0 + np.exp(-np.maximum(z, -500.0)))
+    return np.divide(1.0, 1.0 + np.exp(-np.maximum(z, -500.0)), out=out)
 
 
 # each activation, and its derivative expressed through its value a = act(z)
@@ -99,14 +107,21 @@ class NetworkModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkModel":
-        layers = [Layer(np.array(l["w"]), np.array(l["b"]), l["act"]) for l in d["layers"]]
-        return cls(int(d["dims"]), layers, int(d.get("seed", 0)))
+        """The model of a detector artifact; a weight or bias that is not a
+        finite number, or a width that is not an integer, is refused."""
+        if type(d["dims"]) is not int:
+            raise InputError(f"model.dims: {d['dims']!r} is not an integer")
+        at = "model.layers[{}].{}".format
+        layers = [Layer(finite_array(l["w"], (None, None), at(i, "w")),
+                        finite_array(l["b"], (None,), at(i, "b")), l["act"])
+                  for i, l in enumerate(d["layers"])]
+        return cls(d["dims"], layers, int(d.get("seed", 0)))
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 50
+    learning_rate: float = 0.5
+    epochs: int = 40
     batch_size: int = 64
     hidden: tuple[int, ...] = (16,)
     seed: int = 0
@@ -192,28 +207,56 @@ def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _sgd_step(model: NetworkModel, xb: np.ndarray, yb: np.ndarray, lr: float) -> None:
-    """One in-place SGD step on the batch's mean binary cross-entropy."""
-    layers = model.layers
-    # every layer's output, the input first
-    activations = [xb, *_activations_pre(model, np.dot(xb, layers[0].w) + layers[0].b)]
-    # logistic output + BCE: the output delta is (p - y) / n; folding lr in
-    # here scales every gradient below, so no update needs its own lr product
-    delta = (activations[-1] - yb[:, None]) * (lr / len(yb))
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        gw = np.dot(activations[i].T, delta)
-        gb = delta.sum(axis=0)
-        if i > 0:
-            # activations[i] is the output of layers[i - 1]: the derivative
-            # is that layer's activation's, not this one's
-            delta = np.dot(delta, layer.w.T) * _ACT_DERIV[layers[i - 1].act](activations[i])
-        layer.w -= gw
-        layer.b -= gb
+def _sgd_step(theta, grad, layers, xb, hidden, flip, num) -> None:
+    """One in-place SGD step on a batch's mean binary cross-entropy.
+
+    `layers` holds per layer (params, grads, weightsᵀ, activation): params
+    and grads are (fan_in + 1, fan_out) views of the flat `theta` and
+    `grad`, the bias as the last row. `xb` and each `hidden` buffer carry a
+    ones column last, so every product adds its bias; `hidden` pairs each
+    (m, H + 1) buffer with the view of its first H columns. For labels y
+    in {0, 1} and s = 1 - 2y, the output delta p - y is s / (1 + exp(-s z));
+    `flip` is the (m, 1) column -s and `num` is s * lr / m.
+    """
+    a, acts = xb, []
+    for (w, _, _, act), (h, values) in zip(layers, hidden):
+        # the activation is computed in a contiguous array and copied into
+        # the buffer: its derivative below is ~3x faster on the copy than
+        # on the strided view
+        z = np.dot(a, w)
+        _ACT[act](z, out=z)
+        values[...] = z
+        acts.append(z)
+        a = h
+    # logistic output + BCE, with lr folded into the output delta so every
+    # gradient below is already scaled; no clamp, since the overflow of
+    # exp(-s z) gives a delta of exactly 0
+    delta = np.dot(a, layers[-1][0])
+    delta *= flip
+    np.exp(delta, out=delta)
+    delta += 1.0
+    np.divide(num, delta, out=delta)
+    for i in range(len(layers) - 1, 0, -1):
+        _, g, w_t, _ = layers[i]
+        np.dot(hidden[i - 1][0].T, delta, out=g)
+        # acts[i - 1] is the output of layers[i - 1]: the derivative is that
+        # layer's activation's, not this one's
+        deriv = _ACT_DERIV[layers[i - 1][3]](acts[i - 1])
+        delta = np.multiply(np.dot(delta, w_t), deriv, out=deriv)
+    np.dot(xb.T, delta, out=layers[0][1])
+    theta -= grad
+
+
+def _hidden_buffers(model: NetworkModel, rows: int) -> list:
+    """A (rows, H + 1) buffer with a ones column last per hidden layer, each
+    paired with the view of its first H columns."""
+    bufs = [np.ones((rows, layer.w.shape[1] + 1)) for layer in model.layers[:-1]]
+    return [(h, h[:, :-1]) for h in bufs]
 
 
 def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NetworkModel:
-    """Mini-batch SGD on binary cross-entropy; deterministic per seed.
+    """Mini-batch SGD on binary cross-entropy with labels in {0, 1};
+    deterministic per seed.
 
     Returns a new model; the initial model is left untouched.
     """
@@ -223,29 +266,56 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
         raise TrainingError("training data is empty")
     if y.shape != (len(x),):
         raise ShapeError("labels must be one per row")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise InputError("labels must be 0 or 1")
     if len(np.unique(y)) < 2:
         raise TrainingError("training data contains a single class")
 
-    out = model.copy()
+    # every parameter in one flat vector, so one subtraction updates them
+    # all and one isfinite call checks them; layer i is a (fan_in + 1,
+    # fan_out) view with its bias as the last row
+    shapes = [(l.w.shape[0] + 1, l.w.shape[1]) for l in model.layers]
+    ends = np.cumsum([r * c for r, c in shapes])
+    theta, grad = np.empty(ends[-1]), np.empty(ends[-1])
+    layers = []
+    for layer, shape, lo, hi in zip(model.layers, shapes, [0, *ends[:-1]], ends):
+        w = theta[lo:hi].reshape(shape)
+        w[:-1], w[-1] = layer.w, layer.b
+        layers.append((w, grad[lo:hi].reshape(shape), w[:-1].T, layer.act))
+
     rng = np.random.default_rng(cfg.seed)
-    bs, lr = cfg.batch_size, cfg.learning_rate
-    # gather whole batches about ROWS rows at a time and step over views of
-    # them: the batches of per-step gathers at a fraction of the calls, and
-    # no permuted copy of the whole matrix above the mmap threshold
-    chunk = bs * max(1, ROWS // bs)
+    n, lr = len(x), cfg.learning_rate
+    bs = min(cfg.batch_size, n)  # a larger batch is the whole set
+    # gather whole batches about ROWS rows at a time into one buffer with a
+    # ones column and step over views of it: the batches of per-step
+    # gathers at a fraction of the calls, and no augmented copy of x
+    chunk = min(bs * max(1, ROWS // bs), n)
+    xbuf = np.ones((chunk, x.shape[1] + 1))
+    full = _hidden_buffers(model, bs)
+    short = n % bs  # the last batch of each epoch, if n is no multiple of bs
+    tail = [(h[:short], v[:short]) for h, v in full]
     # the parameter check below reports divergence, so the overflow on the
     # way there stays silent; one errstate per call, not per step
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            order = rng.permutation(len(x))
-            for start in range(0, len(x), chunk):
+            order = rng.permutation(n)
+            for start in range(0, n, chunk):
                 idx = order[start : start + chunk]
-                xc, yc = x[idx], y[idx]
-                for s in range(0, len(idx), bs):
-                    _sgd_step(out, xc[s : s + bs], yc[s : s + bs], lr)
+                k = len(idx)
+                xbuf[:k, :-1] = x[idx]
+                flip = 2.0 * y[idx, None] - 1.0
+                num = flip * (-lr / bs)
+                for s in range(0, k - bs + 1, bs):
+                    _sgd_step(theta, grad, layers, xbuf[s : s + bs], full,
+                              flip[s : s + bs], num[s : s + bs])
+                if k % bs:
+                    s = k - short
+                    _sgd_step(theta, grad, layers, xbuf[s:k], tail,
+                              flip[s:], flip[s:] * (-lr / short))
             # a NaN or inf parameter is what makes the loss non-finite; checking
             # the parameters costs O(weights), not a pass over every row
-            if not all(np.all(np.isfinite(l.w)) and np.all(np.isfinite(l.b))
-                       for l in out.layers):
+            if not np.isfinite(theta).all():
                 raise TrainingError("training loss became non-finite; lower the learning rate")
-    return out
+    return NetworkModel(model.dims, [Layer(w[:-1].copy(), w[-1].copy(), l.act)
+                                     for (w, _, _, _), l in zip(layers, model.layers)],
+                        model.seed)

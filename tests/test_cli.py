@@ -11,9 +11,10 @@ from blamekit import cli
 from blamekit.attribution import explain
 from blamekit.benchmark import default_modes
 from blamekit.cli import main
-from blamekit.detector import Detector
+from blamekit.detector import Detector, NegativeSamplingConfig
 from blamekit.errors import InputError
 from blamekit.exemplar import ExemplarSet
+from blamekit.network import TrainConfig
 
 # small but non-degenerate pipeline settings for CLI round trips
 BENCH_ARGS = ["--dims", "8", "--n-normal", "1200", "--n-test-normal", "40",
@@ -66,6 +67,14 @@ class TestTrainCommand:
 
     def test_runlog_has_digests(self, pipeline, tmp_path):
         check_runlog(pipeline, tmp_path, "train")
+
+    def test_defaults_are_the_configs(self):
+        args = cli.build_parser().parse_args(["train", "t.csv", "--out", "d.json"])
+        cfg, ns = TrainConfig(), NegativeSamplingConfig()
+        assert (args.lr, args.epochs, args.batch_size, cli._int_list("--hidden", args.hidden),
+                args.ratio, args.envelope) == (cfg.learning_rate, cfg.epochs, cfg.batch_size,
+                                               cfg.hidden, ns.ratio, ns.envelope)
+        assert (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.hidden) == (0.5, 40, 64, (16,))
 
     def test_deterministic(self, pipeline, tmp_path):
         out = tmp_path / "det2.json"
@@ -260,6 +269,22 @@ def drop_first_layer_row(d):
     del d["model"]["layers"][0]["w"][-1]
 
 
+def set_first_min(d):
+    d["normalizer"]["min"][0] = "@"
+
+
+def set_first_bias(d):
+    d["model"]["layers"][0]["b"][0] = "@"
+
+
+def set_first_cluster(d):
+    d["exemplars"][0]["cluster"] = "@"
+
+
+def set_first_score(d):
+    d["exemplars"][0]["score"] = "@"
+
+
 def set_first_coordinate(d):
     d["exemplars"][0]["x"][0] = "@"
 
@@ -279,22 +304,30 @@ def drop_last_coordinates(d):
 
 
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
-@pytest.mark.parametrize("artifact, edit, literal", [
-    ("detector.json", set_first_weight, "NaN"),
-    ("detector.json", set_first_weight, "1e999"),
-    ("detector.json", set_first_weight, "1" + "0" * 400),
-    ("detector.json", min_above_max, ""),
-    ("detector.json", drop_last_name, ""),
-    ("detector.json", drop_first_layer_row, ""),
-    ("exemplars.json", set_first_coordinate, "NaN"),
-    ("exemplars.json", no_exemplars, ""),
-    ("exemplars.json", first_coordinates_outside_cube, "1e300"),
+@pytest.mark.parametrize("artifact, edit, literal, field", [
+    ("detector.json", set_first_weight, "NaN", ""),
+    ("detector.json", set_first_weight, "1e999", ""),
+    ("detector.json", set_first_weight, "1" + "0" * 400, "model.layers[0].w"),
+    ("detector.json", min_above_max, "", ""),
+    ("detector.json", drop_last_name, "", ""),
+    ("detector.json", drop_first_layer_row, "", ""),
+    ("detector.json", set_first_min, "null", "normalizer.min[0]"),
+    ("detector.json", set_first_weight, "null", "model.layers[0].w[0][0]"),
+    ("detector.json", set_first_bias, "true", "model.layers[0].b[0]"),
+    ("exemplars.json", set_first_coordinate, "NaN", ""),
+    ("exemplars.json", no_exemplars, "", ""),
+    ("exemplars.json", first_coordinates_outside_cube, "1e300", ""),
+    ("exemplars.json", set_first_cluster, "0.5", "exemplars[0].cluster"),
+    ("exemplars.json", set_first_score, "-1e308", "scores must lie in [0, 1]"),
 ], ids=["detector-nan", "detector-1e999", "detector-huge-int", "detector-min-above-max",
-        "detector-names-width", "detector-layer-width", "exemplars-nan", "exemplars-empty",
-        "exemplars-outside-cube"])
-def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit, literal):
-    """A non-finite, overflowing or inconsistent detector or exemplar set
-    exits 2 naming the file, and nothing is written."""
+        "detector-names-width", "detector-layer-width", "detector-null-min",
+        "detector-null-weight", "detector-bool-bias", "exemplars-nan", "exemplars-empty",
+        "exemplars-outside-cube", "exemplars-fractional-cluster", "exemplars-score-below-0"])
+def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit, literal,
+                             field):
+    """A non-finite, overflowing, mistyped or inconsistent detector or
+    exemplar set exits 2 naming the file (and the field where given), and
+    nothing is written."""
     bad = tmp_path / artifact
     bad.write_text(poisoned(pipeline / artifact, edit, literal))
     artifacts = {name: str(pipeline / name) for name in ("detector.json", "exemplars.json")}
@@ -303,7 +336,8 @@ def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit
     data = small_input(pipeline, tmp_path) if command == "explain" else pipeline / "test.csv"
     assert main([command, *artifacts.values(), str(data), "--out", str(out)]) == 2
     what = "a detector" if artifact == "detector.json" else "an exemplar-set"
-    assert capsys.readouterr().err.startswith(f"error: {bad}: not {what} artifact")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not {what} artifact") and field in err
     assert not out.exists() and not Path(f"{out}.runlog.json").exists()
 
 

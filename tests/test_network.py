@@ -169,6 +169,24 @@ class TestTrain:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+    @pytest.mark.parametrize("n, batch_size", [(100, 16), (96, 16), (10, 64), (1100, 48)])
+    def test_one_step_call_per_batch(self, monkeypatch, n, batch_size):
+        calls = []
+        step = network._sgd_step
+        monkeypatch.setattr(network, "_sgd_step", lambda *a: calls.append(1) or step(*a))
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, size=(n, 3))
+        y = (np.arange(n) % 2).astype(float)
+        model = init_network(3, (4,), seed=1)
+        saved = model.copy(), x.copy(), y.copy()
+        cfg = TrainConfig(0.1, 3, batch_size, (4,), seed=1)
+        train(model, x, y, cfg)
+        assert len(calls) == cfg.epochs * -(-n // batch_size)
+        assert np.array_equal(x, saved[1]) and np.array_equal(y, saved[2])
+        for la, lb in zip(model.layers, saved[0].layers):
+            assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
+
+
 def with_hidden_acts(model, acts):
     for layer, act in zip(model.layers, acts):
         layer.act = act
@@ -183,15 +201,15 @@ HIDDEN_CASES = {"tanh": ((5,), ("tanh",)),
 class TestParameterGradient:
     @pytest.mark.parametrize("case", HIDDEN_CASES)
     def test_sgd_update_matches_finite_differences(self, case):
-        # one step moves each parameter by -lr * dL/dparam, L = mean_bce
+        # one full-batch epoch is one step, which moves each parameter by
+        # -lr * dL/dparam, L = mean_bce
         hidden, acts = HIDDEN_CASES[case]
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 2, size=(9, 3))
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
         model = with_hidden_acts(init_network(3, hidden, seed=4), acts)
         lr, h = 1e-3, 1e-6
-        stepped = model.copy()
-        network._sgd_step(stepped, x, y, lr)
+        stepped = train(model, x, y, TrainConfig(lr, 1, len(x), hidden, seed=4))
         for before, after in zip(model.layers, stepped.layers):
             for name in ("w", "b"):
                 param = getattr(before, name)
