@@ -19,8 +19,8 @@ per-row products instead of one per point.
 (fan_in + 1, fan_out) view of it with the bias as the last row, and the
 batch and each hidden activation carry a ones column, so every product
 adds its bias. `_sgd_step` writes each layer's gradient into a view of
-one flat gradient and updates all parameters with one subtraction, about
-16 numpy calls per step for one hidden layer; `train` returns `Layer`
+one flat gradient and updates all parameters with one subtraction: 15
+numpy calls per step with one hidden layer. `train` returns `Layer`
 copies, so inference and the artifact format do not see the layout.
 """
 
