@@ -74,17 +74,18 @@ class ExemplarSet:
         for i, e in enumerate(d["exemplars"]):
             points.append(finite_array(e["x"], (None,), f"exemplars[{i}].x"))
             scores.append(finite_array(e["score"], (), f"exemplars[{i}].score"))
+            if not 0.0 <= scores[-1] <= 1.0:
+                raise InputError(f"exemplars[{i}].score: {scores[-1]} is outside [0, 1]")
             if type(e["cluster"]) is not int:
                 raise InputError(f"exemplars[{i}].cluster: {e['cluster']!r} is not an integer")
             clusters.append(e["cluster"])
         if len({len(p) for p in points}) > 1:
             raise InputError("exemplar points differ in width")
-        points, scores = np.array(points), np.array(scores)
+        points = np.array(points)
         if not np.all((points >= 0.0) & (points <= 1.0)):
             raise InputError("exemplar points must lie in the unit cube [0, 1]^D")
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):
-            raise InputError("exemplar scores must lie in [0, 1]")
-        return cls(points, np.array(clusters, dtype=int), scores, dict(d.get("params", {})))
+        return cls(points, np.array(clusters, dtype=int), np.array(scores),
+                   dict(d.get("params", {})))
 
     @classmethod
     def load(cls, path) -> "ExemplarSet":

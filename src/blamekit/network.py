@@ -15,13 +15,12 @@ first layer is affine, a caller that scores points affine in x (a shared
 perturbation cloud, a straight path) can build their z1 from a few
 per-row products instead of one per point.
 
-`train` keeps every parameter in one flat vector: each layer is a
-(fan_in + 1, fan_out) view of it with the bias as the last row, and the
-batch and each hidden activation carry a ones column, so every product
-adds its bias. `_sgd_step` writes each layer's gradient into a view of
-one flat gradient and updates all parameters with one subtraction: 15
-numpy calls per step with one hidden layer. `train` returns `Layer`
-copies, so inference and the artifact format do not see the layout.
+`train` keeps all parameters in one flat vector, each layer a (fan_in +
+1, fan_out) view with the bias as its last row; the batch and the hidden
+activations carry a ones column, so each product adds its bias and one
+subtraction updates everything (15 numpy calls per `_sgd_step` with one
+hidden layer). `train` returns `Layer` copies, so inference and the
+artifact format do not see this layout.
 """
 
 from __future__ import annotations
@@ -247,13 +246,6 @@ def _sgd_step(theta, grad, layers, xb, hidden, flip, num) -> None:
     theta -= grad
 
 
-def _hidden_buffers(model: NetworkModel, rows: int) -> list:
-    """A (rows, H + 1) buffer with a ones column last per hidden layer, each
-    paired with the view of its first H columns."""
-    bufs = [np.ones((rows, layer.w.shape[1] + 1)) for layer in model.layers[:-1]]
-    return [(h, h[:, :-1]) for h in bufs]
-
-
 def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> NetworkModel:
     """Mini-batch SGD on binary cross-entropy with labels in {0, 1};
     deterministic per seed.
@@ -271,9 +263,7 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
     if len(np.unique(y)) < 2:
         raise TrainingError("training data contains a single class")
 
-    # every parameter in one flat vector, so one subtraction updates them
-    # all and one isfinite call checks them; layer i is a (fan_in + 1,
-    # fan_out) view with its bias as the last row
+    # layer i is a (fan_in + 1, fan_out) view of theta, its bias the last row
     shapes = [(l.w.shape[0] + 1, l.w.shape[1]) for l in model.layers]
     ends = np.cumsum([r * c for r, c in shapes])
     theta, grad = np.empty(ends[-1]), np.empty(ends[-1])
@@ -291,7 +281,10 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
     # gathers at a fraction of the calls, and no augmented copy of x
     chunk = min(bs * max(1, ROWS // bs), n)
     xbuf = np.ones((chunk, x.shape[1] + 1))
-    full = _hidden_buffers(model, bs)
+    # per hidden layer a (bs, H + 1) buffer with a ones column last, paired
+    # with the view of its first H columns
+    bufs = [np.ones((bs, l.w.shape[1] + 1)) for l in model.layers[:-1]]
+    full = [(h, h[:, :-1]) for h in bufs]
     short = n % bs  # the last batch of each epoch, if n is no multiple of bs
     tail = [(h[:short], v[:short]) for h, v in full]
     # the parameter check below reports divergence, so the overflow on the
@@ -313,7 +306,7 @@ def train(model: NetworkModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -
                     _sgd_step(theta, grad, layers, xbuf[s:k], tail,
                               flip[s:], flip[s:] * (-lr / short))
             # a NaN or inf parameter is what makes the loss non-finite; checking
-            # the parameters costs O(weights), not a pass over every row
+            # the parameters costs one call, not a pass over every row
             if not np.isfinite(theta).all():
                 raise TrainingError("training loss became non-finite; lower the learning rate")
     return NetworkModel(model.dims, [Layer(w[:-1].copy(), w[-1].copy(), l.act)

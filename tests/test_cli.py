@@ -318,7 +318,7 @@ def drop_last_coordinates(d):
     ("exemplars.json", no_exemplars, "", ""),
     ("exemplars.json", first_coordinates_outside_cube, "1e300", ""),
     ("exemplars.json", set_first_cluster, "0.5", "exemplars[0].cluster"),
-    ("exemplars.json", set_first_score, "-1e308", "scores must lie in [0, 1]"),
+    ("exemplars.json", set_first_score, "-1e308", "exemplars[0].score"),
 ], ids=["detector-nan", "detector-1e999", "detector-huge-int", "detector-min-above-max",
         "detector-names-width", "detector-layer-width", "detector-null-min",
         "detector-null-weight", "detector-bool-bias", "exemplars-nan", "exemplars-empty",

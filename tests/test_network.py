@@ -150,6 +150,12 @@ class TestTrain:
             train(init_network(2, (4,), seed=0), x, np.ones(len(x)),
                   TrainConfig(0.1, 5, 16, (4,), seed=0))
 
+    def test_labels_other_than_0_or_1_rejected(self):
+        x, y = blobs(40)
+        y[3] = 0.5
+        with pytest.raises(InputError):
+            train(init_network(2, (4,), seed=0), x, y, TrainConfig(0.1, 5, 16, (4,), seed=0))
+
     def test_non_finite_loss_raises_training_error(self):
         x, y = blobs(40)
         model = init_network(2, (4,), seed=0)
