@@ -88,13 +88,6 @@ class NetworkModel:
         if self.layers[-1].act != "logistic":
             raise ValueError("final activation must be logistic to score in (0,1)")
 
-    def copy(self) -> "NetworkModel":
-        return NetworkModel(
-            self.dims,
-            [Layer(l.w.copy(), l.b.copy(), l.act) for l in self.layers],
-            self.seed,
-        )
-
     def to_dict(self) -> dict:
         return {
             "dims": self.dims,

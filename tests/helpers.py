@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -38,7 +39,7 @@ def steepened(det, factor):
     """A copy of det with its first layer's weights and biases scaled by
     factor: every hidden unit's transition is sharper, so the midpoint rule
     needs more straight-path steps to meet the gap tolerance."""
-    model = det.model.copy()
+    model = copy.deepcopy(det.model)
     model.layers[0].w *= factor
     model.layers[0].b *= factor
     return Detector(model, det.normalizer, det.meta)

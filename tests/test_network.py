@@ -1,3 +1,4 @@
+import copy
 import json
 import warnings
 
@@ -174,7 +175,6 @@ class TestTrain:
             losses.append(network.mean_bce(model, x, y))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-
     @pytest.mark.parametrize("n, batch_size", [(100, 16), (96, 16), (10, 64), (1100, 48)])
     def test_one_step_call_per_batch(self, monkeypatch, n, batch_size):
         calls = []
@@ -184,7 +184,7 @@ class TestTrain:
         x = rng.uniform(0, 1, size=(n, 3))
         y = (np.arange(n) % 2).astype(float)
         model = init_network(3, (4,), seed=1)
-        saved = model.copy(), x.copy(), y.copy()
+        saved = copy.deepcopy(model), x.copy(), y.copy()
         cfg = TrainConfig(0.1, 3, batch_size, (4,), seed=1)
         train(model, x, y, cfg)
         assert len(calls) == cfg.epochs * -(-n // batch_size)
@@ -236,7 +236,7 @@ def reference_train(model, x, y, cfg):
     """Plain mini-batch SGD: a gather per step, the clipped logistic, an
     lr product per update, each hidden delta through the derivative of
     the activation that produced it."""
-    model = model.copy()
+    model = copy.deepcopy(model)
 
     def act(z, tag):
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))) if tag == "logistic" else np.tanh(z)
