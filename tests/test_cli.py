@@ -298,6 +298,10 @@ def first_coordinates_outside_cube(d):
         e["x"][0] = "@"
 
 
+def drop_first_last_coordinate(d):
+    del d["exemplars"][0]["x"][-1]
+
+
 def drop_last_coordinates(d):
     for e in d["exemplars"]:
         del e["x"][-1]
@@ -319,10 +323,12 @@ def drop_last_coordinates(d):
     ("exemplars.json", first_coordinates_outside_cube, "1e300", ""),
     ("exemplars.json", set_first_cluster, "0.5", "exemplars[0].cluster"),
     ("exemplars.json", set_first_score, "-1e308", "exemplars[0].score"),
+    ("exemplars.json", drop_first_last_coordinate, "", "differ in width"),
 ], ids=["detector-nan", "detector-1e999", "detector-huge-int", "detector-min-above-max",
         "detector-names-width", "detector-layer-width", "detector-null-min",
         "detector-null-weight", "detector-bool-bias", "exemplars-nan", "exemplars-empty",
-        "exemplars-outside-cube", "exemplars-fractional-cluster", "exemplars-score-below-0"])
+        "exemplars-outside-cube", "exemplars-fractional-cluster", "exemplars-score-below-0",
+        "exemplars-ragged"])
 def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit, literal,
                              field):
     """A non-finite, overflowing, mistyped or inconsistent detector or
