@@ -15,12 +15,14 @@ path's points are affine in the row, so they reach the network as first-
 layer pre-activations built from two products per row (see `network`);
 the axis path scores its exact corners in input space. Results come
 back the same way: `explain` returns one `Explanations` of column
-arrays, row i of each belonging to input row i. A single observation is
+arrays, row i of each belonging to input row i, and `Explanations.lines`
+encodes them as the text of explanations.jsonl. A single observation is
 a one-row matrix: `explain(det, ex, x[None]).blame[0]`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,11 @@ PATH_KINDS = ("straight", "axis")
 GAP_TOLERANCE = 1e-3
 START_STEPS = 64
 MAX_STEPS = 2 ** 16
+
+# a record's "flags" list as JSON text, indexed by (the row scores as
+# normal) + 2 * (the row misses the gap tolerance)
+_FLAGS = ('[]', '["non_anomalous"]', '["completeness_gap_above_tolerance"]',
+          '["non_anomalous", "completeness_gap_above_tolerance"]')
 
 
 def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
@@ -117,19 +124,28 @@ def blame(raw: np.ndarray) -> np.ndarray:
     return np.divide(np.maximum(raw, 0.0), total, out=np.zeros_like(raw), where=total > 0.0)
 
 
+def _row_texts(m: np.ndarray) -> list[str]:
+    """The JSON text of each row of a non-empty (N, D) float matrix, less its
+    brackets. For finite floats str() of a list writes what json.dumps
+    does: each float's repr, joined by ", "."""
+    return str(m.tolist())[2:-2].split("], [")
+
+
 @dataclass
 class Explanations:
     """Explanations of N rows as column arrays; row i of each is input row i.
 
-    x, baseline, raw and blame are (N, D), in normalized space; score,
-    baseline_score, gap and steps are (N,). `steps` is the number of
-    midpoint nodes a row's straight path ended at; the exact axis path
-    reports START_STEPS. `timestamps` holds one timestamp or None per row,
-    or is None when the input had none.
+    x, baseline, raw and blame are (N, D), in normalized space; baseline
+    row i is the exemplar set's point exemplar[i]. score, baseline_score,
+    gap and steps are (N,). `steps` is the number of midpoint nodes a
+    row's straight path ended at; the exact axis path reports START_STEPS.
+    `timestamps` holds one timestamp or None per row, or is None when the
+    input had none.
     """
 
     x: np.ndarray
     baseline: np.ndarray
+    exemplar: np.ndarray
     score: np.ndarray
     baseline_score: np.ndarray
     raw: np.ndarray
@@ -143,26 +159,33 @@ class Explanations:
     def __len__(self) -> int:
         return len(self.score)
 
-    def records(self):
-        """One JSON-ready dict per row, in explanations.jsonl key order; a
-        row is flagged when it scores as normal or misses the gap tolerance,
-        and carries "ts" only if it has a timestamp."""
-        stamps = self.timestamps or [None] * len(self)
-        for x, xb, fx, fb, raw, b, gap, m, ts in zip(
-                self.x.tolist(), self.baseline.tolist(), self.score.tolist(),
-                self.baseline_score.tolist(), self.raw.tolist(), self.blame.tolist(),
-                self.gap.tolist(), self.steps.tolist(), stamps, strict=True):
-            flags = []
-            if fx > 0.5:
-                flags.append("non_anomalous")
-            if gap > GAP_TOLERANCE:
-                flags.append("completeness_gap_above_tolerance")
-            d = {"x": x, "baseline": xb, "score": fx, "baseline_score": fb, "raw": raw,
-                 "blame": b, "gap": gap, "metric": self.metric,
-                 "path": {"kind": self.path, "m": m}, "flags": flags}
-            if ts is not None:
-                d["ts"] = ts.isoformat() if hasattr(ts, "isoformat") else str(ts)
-            yield d
+    def lines(self) -> str:
+        """The rows as explanations.jsonl text: per row, the bytes of
+        json.dumps of its record and a newline. A record's keys are x,
+        baseline, score, baseline_score, raw, blame, gap, metric, path
+        {kind, m}, flags, and ts only if the row has a timestamp. A row is
+        flagged when it scores as normal or misses the gap tolerance.
+
+        Each matrix is turned into text by one str() call, and each
+        exemplar's baseline text is made once and shared by its rows."""
+        if len(self) == 0:
+            return ""  # str([]) has no rows to split
+        ids, first = np.unique(self.exemplar, return_index=True)
+        baselines = dict(zip(ids.tolist(), _row_texts(self.baseline[first])))
+        codes = ((self.score > 0.5) + 2 * (self.gap > GAP_TOLERANCE)).tolist()
+        metric_path = (f'"metric": {json.dumps(self.metric)}, '
+                       f'"path": {{"kind": {json.dumps(self.path)}, "m": ')
+        ends = ["}\n" if ts is None else
+                f', "ts": {json.dumps(ts.isoformat() if hasattr(ts, "isoformat") else str(ts))}}}\n'
+                for ts in self.timestamps or [None] * len(self)]
+        return "".join(
+            f'{{"x": [{x}], "baseline": [{baselines[k]}], "score": {fx}, "baseline_score": {fb}, '
+            f'"raw": [{raw}], "blame": [{b}], "gap": {gap}, {metric_path}{m}}}, '
+            f'"flags": {_FLAGS[code]}{end}'
+            for x, k, fx, fb, raw, b, gap, m, code, end in zip(
+                _row_texts(self.x), self.exemplar.tolist(), self.score.tolist(),
+                self.baseline_score.tolist(), _row_texts(self.raw), _row_texts(self.blame),
+                self.gap.tolist(), self.steps.tolist(), codes, ends, strict=True))
 
 
 def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
@@ -180,7 +203,8 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
     given, holds one timestamp (or None) per row.
     """
     x = det.normalizer.apply(x_raw)
-    x_base, _ = nearest_exemplar(x, ex, metric)
+    nearest, _ = nearest_exemplar(x, ex, metric)
+    x_base = ex.points[nearest]
     fx = network.forward_batch(det.model, x)
     fb = network.forward_batch(det.model, x_base)
 
@@ -198,7 +222,8 @@ def explain(det: Detector, ex: ExemplarSet, x_raw, metric: str = "L2",
             break
         open_rows = open_rows[gap[open_rows] > GAP_TOLERANCE]
         steps *= 2
-    return Explanations(x, x_base, fx, fb, raw, blame(raw), gap, m, metric, path, timestamps)
+    return Explanations(x, x_base, nearest, fx, fb, raw, blame(raw), gap, m, metric, path,
+                        timestamps)
 
 
 def check_desiderata(det: Detector, x, x_base, raw: np.ndarray) -> dict:

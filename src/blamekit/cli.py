@@ -5,7 +5,9 @@ Each cmd_* only computes and returns (writers, seeds, inputs, message):
 first; the derived seeds; the input files; the line to print. `main`
 writes the outputs and, next to the primary one, a run log (command,
 flags, seeds, SHA-256 of each input) all or nothing, so any artifact
-can be reproduced exactly.
+can be reproduced exactly. `explain` loads its input, then explains and
+encodes it EXPLAIN_BLOCK rows at a time inside its writer, so its
+memory is bounded and an error partway through still writes nothing.
 Exit codes: 0 ok; 2 bad input, a refused setting (`ConfigError`) or an
 unwritable output; 3 training failure, divergence included; 4 empty
 baseline. Any other exception is a bug and escapes `main` as a traceback.
@@ -34,6 +36,9 @@ from .network import TrainConfig
 from .surrogate import surrogate_attribution
 
 EXIT_CODES = {TrainingError: 3, EmptyBaselineError: 4}  # any other error: 2
+
+# rows `explain` explains and encodes at a time, which bounds its memory
+EXPLAIN_BLOCK = 4096
 
 
 def _sha256(path) -> str:
@@ -150,11 +155,14 @@ def cmd_baseline(args):
 def cmd_explain(args):
     det, ex = _load_pair(args)
     data = load_telemetry(args.input_csv, det.normalizer.names)
-    expl = explain(det, ex, data.values, metric=args.metric, path=args.path,
-                   timestamps=data.timestamps)
-    lines = [json.dumps(r) + "\n" for r in expl.records()]
-    return ({args.out: lambda fh: fh.writelines(lines)}, {},
-            [args.detector, args.exemplars, args.input_csv],
+
+    def write(fh):  # one block of rows in memory at a time
+        for lo in range(0, len(data), EXPLAIN_BLOCK):
+            rows = slice(lo, lo + EXPLAIN_BLOCK)
+            fh.write(explain(det, ex, data.values[rows], metric=args.metric, path=args.path,
+                             timestamps=data.timestamps[rows]).lines())
+
+    return ({args.out: write}, {}, [args.detector, args.exemplars, args.input_csv],
             f"wrote {args.out} ({len(data)} explanations)")
 
 

@@ -209,8 +209,15 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(finite_array(d["min"], (None,), "normalizer.min"),
-                   finite_array(d["max"], (None,), "normalizer.max"), list(d["names"]))
+        """The normalizer of a detector artifact; names that are not one
+        unique, non-empty string per dimension are refused."""
+        lo = finite_array(d["min"], (None,), "normalizer.min")
+        names = d["names"]
+        if (type(names) is not list or len(names) != len(lo)
+                or not all(type(n) is str and n for n in names) or len(set(names)) != len(names)):
+            raise InputError(f"normalizer.names: expected {len(lo)} unique non-empty strings, "
+                             f"got {json.dumps(names)[:80]}")
+        return cls(lo, finite_array(d["max"], (None,), "normalizer.max"), names)
 
 
 def _finite(text: str) -> float:

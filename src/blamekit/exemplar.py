@@ -190,9 +190,10 @@ def naive_baseline(x_norm: np.ndarray, det: Detector, size: int) -> ExemplarSet:
 
 def nearest_exemplar(x: np.ndarray, ex: ExemplarSet, metric: str = "L2"):
     """Closest exemplar to each row of the (N, D) matrix x under the
-    metric; ties break to the lowest index. Returns the (N, D) exemplars
-    and their (N,) distances. The (N, K) distance matrix is computed in
-    blocks of at most network.ROWS row-exemplar pairs."""
+    metric; ties break to the lowest index. Returns the (N,) exemplar
+    indices into ex.points and their (N,) distances. The (N, K) distance
+    matrix is computed in blocks of at most network.ROWS row-exemplar
+    pairs."""
     if len(ex) == 0:
         raise EmptyBaselineError("exemplar set is empty")
     x = np.asarray(x, dtype=float)
@@ -205,4 +206,4 @@ def nearest_exemplar(x: np.ndarray, ex: ExemplarSet, metric: str = "L2"):
         d = distances(x[lo:lo + per], ex.points, metric)
         best[lo:lo + per] = np.argmin(d, axis=1)  # argmin returns the first minimum
         dist[lo:lo + per] = d.min(axis=1)
-    return ex.points[best], dist
+    return best, dist

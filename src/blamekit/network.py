@@ -100,14 +100,15 @@ class NetworkModel:
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkModel":
         """The model of a detector artifact; a weight or bias that is not a
-        finite number, or a width that is not an integer, is refused."""
-        if type(d["dims"]) is not int:
-            raise InputError(f"model.dims: {d['dims']!r} is not an integer")
+        finite number, or a width or seed that is not an integer, is refused."""
+        for key in ("dims", "seed"):
+            if type(d.get(key, 0)) is not int:
+                raise InputError(f"model.{key}: {d[key]!r} is not an integer")
         at = "model.layers[{}].{}".format
         layers = [Layer(finite_array(l["w"], (None, None), at(i, "w")),
                         finite_array(l["b"], (None,), at(i, "b")), l["act"])
                   for i, l in enumerate(d["layers"])]
-        return cls(d["dims"], layers, int(d.get("seed", 0)))
+        return cls(d["dims"], layers, d.get("seed", 0))
 
 
 @dataclass

@@ -122,7 +122,7 @@ def test_04_nearby_baselines_give_equivalent_attributions(det16, ex16, anomalies
     diffs = {d: [] for d in deltas}
     for i in picks:
         x = det16.normalizer.apply(anomalies16.x[i])
-        c = nearest_exemplar(x[None], ex16)[0][0]
+        c = ex16.points[nearest_exemplar(x[None], ex16)[0][0]]
         base = integrated_gradients(det16, x[None], c[None], "straight", 2048)[0]
         # one shared direction per anomaly, kept high-confidence at all radii
         for _ in range(100):

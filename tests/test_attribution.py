@@ -1,9 +1,14 @@
+import json
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from blamekit.attribution import (
+    GAP_TOLERANCE,
     START_STEPS,
+    Explanations,
     blame,
     check_desiderata,
     completeness_gap,
@@ -201,7 +206,7 @@ class TestExplain:
 
     def test_non_anomalous_flagged(self, bench16, det16, ex16):
         cfg, _, _ = bench16
-        record = next(explain(det16, ex16, cfg.modes[0].center[None]).records())
+        record = json.loads(explain(det16, ex16, cfg.modes[0].center[None]).lines())
         assert "non_anomalous" in record["flags"]
 
     def test_adaptive_steps_bound_gap(self, det16, ex16, anomalies16):
@@ -219,11 +224,113 @@ class TestExplain:
             assert gap <= 1e-3
 
     def test_json_fields(self, det16, ex16, anomalies16):
-        d = next(explain(det16, ex16, anomalies16.x[:1]).records())
-        for key in ("x", "baseline", "score", "baseline_score", "raw",
-                    "blame", "gap", "metric", "path", "flags"):
-            assert key in d
+        es = explain(det16, ex16, anomalies16.x[:1])
+        d = json.loads(es.lines())
+        assert list(d) == ["x", "baseline", "score", "baseline_score", "raw",
+                           "blame", "gap", "metric", "path", "flags"]
         assert d["path"]["kind"] == "straight"
+        assert d["baseline"] == ex16.points[es.exemplar[0]].tolist()
+
+
+def reference_lines(e: Explanations) -> str:
+    """explanations.jsonl as one json.dumps per row of a dict in record key
+    order: what `Explanations.lines` must write byte for byte."""
+    out = []
+    for i, ts in enumerate(e.timestamps or [None] * len(e)):
+        fx, gap = float(e.score[i]), float(e.gap[i])
+        d = {"x": e.x[i].tolist(), "baseline": e.baseline[i].tolist(), "score": fx,
+             "baseline_score": float(e.baseline_score[i]), "raw": e.raw[i].tolist(),
+             "blame": e.blame[i].tolist(), "gap": gap, "metric": e.metric,
+             "path": {"kind": e.path, "m": int(e.steps[i])},
+             "flags": (["non_anomalous"] if fx > 0.5 else [])
+             + (["completeness_gap_above_tolerance"] if gap > GAP_TOLERANCE else [])}
+        if ts is not None:
+            d["ts"] = ts.isoformat() if hasattr(ts, "isoformat") else str(ts)
+        out.append(json.dumps(d) + "\n")
+    return "".join(out)
+
+
+# floats whose repr takes each of its forms, and the two flag thresholds
+# with their neighbours
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-7, 1e22, 0.1, 1.0, 0.5, 0.5000000000000001,
+                  GAP_TOLERANCE, 0.0010000000000000002)
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS + tuple(-v for v in SPECIAL_FLOATS)),
+                   st.floats(allow_nan=False, allow_infinity=False))
+STAMPS = st.one_of(
+    st.none(),
+    st.datetimes(timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=1)),
+                                            timezone(timedelta(hours=-5, minutes=-30))])),
+    st.datetimes().map(datetime.isoformat),  # a naive stamp as a string
+)
+
+
+def explanations_of(x, exemplar, points, score, gap, stamps=None, metric="L2",
+                    path="straight"):
+    """Explanations with the given columns; the remaining ones are derived
+    from x so that every matrix differs."""
+    x, score, gap = (np.asarray(v, dtype=float) for v in (x, score, gap))
+    exemplar = np.asarray(exemplar, dtype=int)
+    return Explanations(x, np.asarray(points, dtype=float)[exemplar], exemplar, score,
+                        score[::-1].copy(), -x, x / 3, gap,
+                        np.full(len(score), START_STEPS), metric, path, stamps)
+
+
+@st.composite
+def random_explanations(draw):
+    n, d, k = draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(FLOATS, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    exemplar = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=int)
+    steps = np.array(draw(st.lists(st.sampled_from([64, 128, 2 ** 16]), min_size=n,
+                                   max_size=n)), dtype=int)
+    return Explanations(floats(n, d), floats(k, d)[exemplar], exemplar, floats(n), floats(n),
+                        floats(n, d), floats(n, d), floats(n), steps,
+                        draw(st.sampled_from(["L1", "L2"])),
+                        draw(st.sampled_from(["straight", "axis"])),
+                        draw(st.one_of(st.none(), st.lists(STAMPS, min_size=n, max_size=n))))
+
+
+class TestLines:
+    """`Explanations.lines` writes json.dumps' bytes for each record."""
+
+    @given(random_explanations())
+    def test_matches_json_dumps(self, e):
+        assert e.lines() == reference_lines(e)
+
+    def test_special_floats(self):
+        x = np.array([[-0.0, 5e-324, 1e16], [1e-7, 1e22, -1e22]])
+        e = explanations_of(x, [1, 0], [[0.0, -0.0, 1e-7], [5e-324, 1e16, 1e22]],
+                            [-0.0, 1e22], [5e-324, 1e16])
+        assert e.lines() == reference_lines(e)
+        assert "5e-324" in e.lines() and "1e+22" in e.lines() and "-0.0" in e.lines()
+
+    def test_all_four_flag_combinations(self):
+        e = explanations_of(np.eye(4), [0, 0, 0, 0], [[0.5] * 4],
+                            [0.4, 0.6, 0.4, 0.6], [0.0, 0.0, 0.01, 0.01])
+        assert e.lines() == reference_lines(e)
+        assert [json.loads(line)["flags"] for line in e.lines().splitlines()] == [
+            [], ["non_anomalous"], ["completeness_gap_above_tolerance"],
+            ["non_anomalous", "completeness_gap_above_tolerance"]]
+
+    def test_timestamps(self):
+        stamps = [None, datetime(2024, 3, 1, 12, tzinfo=timezone.utc),
+                  datetime(2024, 3, 1, 13, tzinfo=timezone(timedelta(hours=1))),
+                  "2024-03-01T12:00:02"]
+        e = explanations_of(np.eye(4), [0, 1, 0, 1], [[0.0] * 4, [1.0] * 4],
+                            [0.1] * 4, [0.0] * 4, stamps)
+        assert e.lines() == reference_lines(e)
+        assert [json.loads(line).get("ts") for line in e.lines().splitlines()] == [
+            None, "2024-03-01T12:00:00+00:00", "2024-03-01T13:00:00+01:00",
+            "2024-03-01T12:00:02"]
+
+    def test_no_rows_is_empty_text(self):
+        for stamps in (None, []):
+            e = explanations_of(np.zeros((0, 3)), [], [[0.5] * 3], [], [], stamps)
+            assert e.lines() == ""
 
 
 class TestDesiderata:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 from datetime import datetime, timezone
 from itertools import takewhile
@@ -6,15 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blamekit import cli
 from blamekit.attribution import explain
 from blamekit.benchmark import default_modes
-from blamekit.cli import main
+from blamekit.cli import _write_all, main
+from blamekit.dataio import Dataset, save_telemetry
 from blamekit.detector import Detector, NegativeSamplingConfig
 from blamekit.errors import InputError
 from blamekit.exemplar import ExemplarSet
 from blamekit.network import TrainConfig
+from helpers import save_artifact
+from test_per_row_reference import TOL
 
 # small but non-degenerate pipeline settings for CLI round trips
 BENCH_ARGS = ["--dims", "8", "--n-normal", "1200", "--n-test-normal", "40",
@@ -245,6 +251,70 @@ class TestExplainCommand:
         assert not out.exists()
 
 
+class TestExplainInBlocks:
+    """`explain` in blocks of EXPLAIN_BLOCK rows writes what one block does."""
+
+    def artifacts(self, request, tmp_path, dims):
+        det, ex = (request.getfixturevalue(f"{what}{dims}") for what in ("det", "ex"))
+        paths = tmp_path / "detector.json", tmp_path / "exemplars.json"
+        for obj, path in zip((det, ex), paths):
+            save_artifact(obj, path)
+        return det, [str(p) for p in paths]
+
+    def explain_lines(self, artifacts, inp, out, *flags):
+        assert main(["explain", *artifacts, str(inp), "--out", str(out), *flags]) == 0
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    @pytest.mark.parametrize("dims, flags", [(8, ()), (16, ("--path", "axis", "--metric", "L1"))])
+    def test_blocks_of_7_match_one_block(self, request, tmp_path, monkeypatch, dims, flags):
+        det, artifacts = self.artifacts(request, tmp_path, dims)
+        _, _, test = request.getfixturevalue(f"bench{dims}")
+        inp = tmp_path / "input.csv"
+        _write_all({inp: lambda fh: save_telemetry(Dataset(det.normalizer.names, test.x), fh)})
+        assert 7 < len(test.x) <= cli.EXPLAIN_BLOCK
+        one = self.explain_lines(artifacts, inp, tmp_path / "one.jsonl", *flags)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return explain(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 7)
+        monkeypatch.setattr(cli, "explain", counted)
+        blocks = self.explain_lines(artifacts, inp, tmp_path / "blocks.jsonl", *flags)
+        assert calls == [7] * (len(test.x) // 7) + [len(test.x) % 7] * (len(test.x) % 7 > 0)
+        assert len(blocks) == len(one) == len(test.x)
+        for key in ("x", "baseline", "flags", "metric"):
+            assert [r[key] for r in blocks] == [r[key] for r in one]
+        assert [r["path"] for r in blocks] == [r["path"] for r in one]
+        # where a row sits in a BLAS batch can move the last bits
+        for key in ("score", "baseline_score", "raw", "blame", "gap"):
+            np.testing.assert_allclose([r[key] for r in blocks], [r[key] for r in one],
+                                       rtol=0, atol=TOL)
+
+    def test_timestamps_stay_with_their_rows(self, request, tmp_path, monkeypatch):
+        det, artifacts = self.artifacts(request, tmp_path, 8)
+        _, _, test = request.getfixturevalue("bench8")
+        stamps = [datetime(2024, 3, 1, 12, 0, s, tzinfo=timezone.utc) for s in range(20)]
+        inp = tmp_path / "input.csv"
+        _write_all({inp: lambda fh: save_telemetry(
+            Dataset(det.normalizer.names, test.x[:20], stamps), fh)})
+        one = self.explain_lines(artifacts, inp, tmp_path / "one.jsonl")
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 7)
+        blocks = self.explain_lines(artifacts, inp, tmp_path / "blocks.jsonl")
+        assert [datetime.fromisoformat(r["ts"]) for r in blocks] == stamps
+        assert [r["x"] for r in blocks] == [r["x"] for r in one]
+        assert [r["ts"] for r in blocks] == [r["ts"] for r in one]
+
+    def test_header_only_input(self, request, tmp_path, monkeypatch):
+        det, artifacts = self.artifacts(request, tmp_path, 8)
+        inp = tmp_path / "input.csv"
+        inp.write_text(",".join(det.normalizer.names) + "\n")
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 7)
+        assert self.explain_lines(artifacts, inp, tmp_path / "e.jsonl") == []
+        assert (tmp_path / "e.jsonl").read_text() == ""
+
+
 def poisoned(path, edit, literal):
     """The JSON artifact at path with edit applied to its dict; the value
     edit stores as "@" is written as the JSON text literal."""
@@ -307,6 +377,14 @@ def drop_last_coordinates(d):
         del e["x"][-1]
 
 
+def names_as_string(d):
+    d["normalizer"]["names"] = "abcdefgh"[:len(d["normalizer"]["names"])]
+
+
+def names_as_integers(d):
+    d["normalizer"]["names"] = list(range(len(d["normalizer"]["names"])))
+
+
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
 @pytest.mark.parametrize("artifact, edit, literal, field", [
     ("detector.json", set_first_weight, "NaN", ""),
@@ -324,11 +402,13 @@ def drop_last_coordinates(d):
     ("exemplars.json", set_first_cluster, "0.5", "exemplars[0].cluster"),
     ("exemplars.json", set_first_score, "-1e308", "exemplars[0].score"),
     ("exemplars.json", drop_first_last_coordinate, "", "differ in width"),
+    ("detector.json", names_as_string, "", "normalizer.names"),
+    ("detector.json", names_as_integers, "", "normalizer.names"),
 ], ids=["detector-nan", "detector-1e999", "detector-huge-int", "detector-min-above-max",
         "detector-names-width", "detector-layer-width", "detector-null-min",
         "detector-null-weight", "detector-bool-bias", "exemplars-nan", "exemplars-empty",
         "exemplars-outside-cube", "exemplars-fractional-cluster", "exemplars-score-below-0",
-        "exemplars-ragged"])
+        "exemplars-ragged", "detector-names-string", "detector-names-ints"])
 def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit, literal,
                              field):
     """A non-finite, overflowing, mistyped or inconsistent detector or
@@ -345,6 +425,76 @@ def test_bad_artifact_exit_2(pipeline, tmp_path, capsys, command, artifact, edit
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not {what} artifact") and field in err
     assert not out.exists() and not Path(f"{out}.runlog.json").exists()
+
+
+# the parts of each artifact its reader takes numbers from
+NUMERIC_PARTS = {"detector.json": ("model", "normalizer"), "exemplars.json": ("exemplars",)}
+
+
+def is_numeric(value) -> bool:
+    """A number, or a non-empty list of numeric values."""
+    return type(value) in (int, float) or (type(value) is list and bool(value)
+                                           and all(map(is_numeric, value)))
+
+
+def numeric_fields(value, path=()):
+    """Key paths of the numeric values in a JSON value."""
+    if is_numeric(value):
+        yield path
+    if isinstance(value, (dict, list)):
+        for key, v in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from numeric_fields(v, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def artifact_fields(pipeline):
+    """Each artifact's dict, and the key paths of its numeric fields grouped
+    by field: list indices are left out of a group's name, so that a drawn
+    group is as likely to be `model.seed` as one of the weights."""
+    out = {}
+    for name, parts in NUMERIC_PARTS.items():
+        d = json.loads((pipeline / name).read_text())
+        groups = {}
+        for part in parts:
+            for f in numeric_fields(d[part], (part,)):
+                groups.setdefault(tuple(k for k in f if type(k) is str) + (len(f),), []).append(f)
+        out[name] = d, groups
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       replacement=st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                             st.sampled_from([[0.5, [0.5, 0.5]], [[0.5], [0.5, 0.5]]])))
+def test_mistyped_numeric_field_exit_2(pipeline, tmp_path_factory, artifact_fields, data,
+                                       replacement):
+    """One numeric field of either artifact (a number or a list of them)
+    replaced by null, a bool, a string or a ragged list: explain, evaluate
+    and (for a detector, the one artifact it reads) baseline exit 2 naming
+    the file, and write nothing."""
+    artifact = data.draw(st.sampled_from(sorted(artifact_fields)))
+    d, groups = artifact_fields[artifact]
+    path = data.draw(st.sampled_from(groups[data.draw(st.sampled_from(sorted(groups)))]))
+    d = json.loads(json.dumps(d))
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = replacement
+    work = tmp_path_factory.mktemp("mistyped")
+    bad = work / artifact
+    bad.write_text(json.dumps(d))
+    det, ex = str(pipeline / "detector.json"), str(pipeline / "exemplars.json")
+    det, ex = (str(bad), ex) if artifact == "detector.json" else (det, str(bad))
+    argvs = [["explain", det, ex, str(small_input(pipeline, work))],
+             ["evaluate", det, ex, str(pipeline / "test.csv")]]
+    if artifact == "detector.json":
+        argvs.append(["baseline", det, str(pipeline / "train.csv")])
+    for argv in argvs:
+        out, err = work / "out", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([*argv, "--out", str(out)]) == 2, (argv[0], path, replacement)
+        assert err.getvalue().startswith(f"error: {bad}: not "), err.getvalue()
+        assert not out.exists() and not Path(f"{out}.runlog.json").exists()
 
 
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
@@ -418,6 +568,22 @@ class TestBadInput:
         assert len(calls) == 1
         assert not out.exists()
         assert not Path(str(out) + ".runlog.json").exists()
+
+    def test_failure_in_a_later_block_leaves_no_output(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_in_the_second_block(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise InputError("bad row")
+            return explain(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 5)
+        monkeypatch.setattr(cli, "explain", failing_in_the_second_block)
+        out = tmp_path / "e.jsonl"
+        assert self.run(pipeline, "explain", small_input(pipeline, tmp_path), out) == 2
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "input.csv"]
 
     def test_value_error_is_a_bug_not_bad_input(self, pipeline, tmp_path, monkeypatch):
         """main catches only OSError and BlamekitError: a ValueError from

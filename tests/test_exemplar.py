@@ -158,24 +158,24 @@ class TestNearestExemplar:
 
     def test_basic(self):
         ex = self.two_point_set([[0.0, 0.0], [10.0, 10.0]])
-        p, d = nearest_exemplar(np.array([[1.0, 1.0]]), ex, "L2")
-        np.testing.assert_array_equal(p, [[0.0, 0.0]])
+        i, d = nearest_exemplar(np.array([[1.0, 1.0]]), ex, "L2")
+        np.testing.assert_array_equal(i, [0])
         assert d[0] == pytest.approx(np.sqrt(2))
 
     def test_metric_changes_winner(self):
         ex = self.two_point_set([[3.0, 3.0], [0.0, 5.0]])
         x = np.zeros((1, 2))
-        p2, d2 = nearest_exemplar(x, ex, "L2")
-        np.testing.assert_array_equal(p2, [[3.0, 3.0]])
+        i2, d2 = nearest_exemplar(x, ex, "L2")
+        np.testing.assert_array_equal(i2, [0])
         assert d2[0] == pytest.approx(np.sqrt(18))
-        p1, d1 = nearest_exemplar(x, ex, "L1")
-        np.testing.assert_array_equal(p1, [[0.0, 5.0]])
+        i1, d1 = nearest_exemplar(x, ex, "L1")
+        np.testing.assert_array_equal(i1, [1])
         assert d1[0] == 5.0
 
     def test_exact_match(self):
         ex = self.two_point_set([[1.0, 2.0], [3.0, 4.0]])
-        p, d = nearest_exemplar(np.array([[3.0, 4.0]]), ex, "L2")
-        np.testing.assert_array_equal(p, [[3.0, 4.0]])
+        i, d = nearest_exemplar(np.array([[3.0, 4.0]]), ex, "L2")
+        np.testing.assert_array_equal(i, [1])
         assert d[0] == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
@@ -183,8 +183,16 @@ class TestNearestExemplar:
         # every row is equidistant from both exemplars
         x = np.zeros((3, 2))
         x[:, 1] = [0.0, 5.0, -2.0]
-        p, _ = nearest_exemplar(x, ex, "L2")
-        np.testing.assert_array_equal(p, [[1.0, 0.0]] * 3)
+        for metric in ("L1", "L2"):
+            i, _ = nearest_exemplar(x, ex, metric)
+            np.testing.assert_array_equal(i, [0, 0, 0])
+
+    def test_tie_between_duplicates_breaks_to_lowest_index(self):
+        # exemplars 1 and 3 are the same point; rows nearest to it get index 1
+        ex = self.two_point_set([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [1.0, 1.0]])
+        i, d = nearest_exemplar(np.array([[0.9, 1.2], [4.0, 4.0], [1.0, 1.0]]), ex, "L1")
+        np.testing.assert_array_equal(i, [1, 2, 1])
+        np.testing.assert_allclose(d, [0.3, 2.0, 0.0])
 
     def test_is_global_minimum(self):
         rng = np.random.default_rng(6)
@@ -193,11 +201,11 @@ class TestNearestExemplar:
         # more rows than one block of network.ROWS row-exemplar pairs
         x = rng.uniform(size=(2 * network.ROWS // len(pts) + 7, 3))
         for m, order in (("L1", 1), ("L2", 2)):
-            p, d = nearest_exemplar(x, ex, m)
-            for xi, pi, di in zip(x, p, d):
+            idx, d = nearest_exemplar(x, ex, m)
+            for xi, i, di in zip(x, idx, d):
                 oracle = [np.linalg.norm(xi - q, ord=order) for q in pts]
                 assert di == pytest.approx(min(oracle), rel=1e-12)
-                np.testing.assert_array_equal(pi, pts[int(np.argmin(oracle))])
+                assert i == np.argmin(oracle)
 
     def test_empty_set(self):
         ex = ExemplarSet(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0))

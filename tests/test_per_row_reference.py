@@ -13,6 +13,8 @@ structural (a wrong exemplar, a wrong step count, a row scattered to the
 wrong place) is far larger.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,9 @@ def test_explain_matches_per_row_loop(case):
     assert len(batched) == len(x_raw)
     np.testing.assert_array_equal(batched.x, ref["x"])
     np.testing.assert_array_equal(batched.baseline, ref["baseline"])
-    assert [r["flags"] for r in batched.records()] == [r["flags"] for r in refs]
+    np.testing.assert_array_equal(ex.points[batched.exemplar], ref["baseline"])
+    assert ([json.loads(line)["flags"] for line in batched.lines().splitlines()]
+            == [r["flags"] for r in refs])
     assert batched.path == kind
     np.testing.assert_array_equal(batched.steps, ref["m"])
     for key in ("raw", "blame", "score", "baseline_score", "gap"):
