@@ -9,11 +9,12 @@ rescales the positive part of the raw attribution into [0,1]^D with
 total mass at most 1.
 
 Everything here takes a matrix of rows, one observation per row, and
-hands the network blocks of at most network.ROWS points, so a file costs
-one network call per block rather than several per row. The straight
-path's points are affine in the row, so they reach the network as first-
-layer pre-activations built from two products per row (see `network`);
-the axis path scores its exact corners in input space. Results come
+hands the network blocks of points, so a file costs one network call per
+block rather than several per row. The straight path's points are affine
+in the row, so they reach the network as first-layer pre-activations
+built from two products per row, in one reused (rows, H1, points) block
+(see `network`); the axis path scores its exact corners in input space,
+network.ROWS at a time. Results come
 back the same way: `explain` returns one `Explanations` of column
 arrays, row i of each belonging to input row i, and `Explanations.lines`
 encodes them as the text of explanations.jsonl. A single observation is
@@ -57,8 +58,8 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
     `explain` doubles them as needed. Its nodes go to the network as
     first-layer pre-activations c + t·e (c = x·W1 + b1, e = (x' - x)·W1),
     and the mean of dF/dz1 over a row's nodes is taken back through W1ᵀ
-    once. Points go to the network in blocks of whole rows, at most
-    network.ROWS points per call (or one row's points, if more).
+    once. Nodes go to the network in blocks of whole rows, at most
+    network.POINTS per call (or one row's nodes, if more).
     """
     if kind not in PATH_KINDS:
         raise ValueError(f"path kind must be one of {PATH_KINDS}, got {kind!r}")
@@ -78,13 +79,14 @@ def integrated_gradients(det: Detector, x: np.ndarray, x_base: np.ndarray,
         w1 = det.model.layers[0].w
         c = network.preactivation(det.model, x)
         e = np.dot(diff, w1)
-        mids = (np.arange(steps) + 0.5)[:, None] / steps
-        per = max(1, network.ROWS // steps)
+        mids = (np.arange(steps) + 0.5) / steps
+        per = max(1, network.POINTS // steps)
+        buf = np.empty((min(per, len(x)), w1.shape[1], steps))
         for lo in range(0, len(x), per):
-            z1 = c[lo:lo + per, None, :] + mids * e[lo:lo + per, None, :]
-            grads = network.grad_pre(det.model, z1.reshape(-1, w1.shape[1]))
-            mean = grads.reshape(len(z1), steps, -1).mean(axis=1)
-            raw[lo:lo + per] = diff[lo:lo + per] * np.dot(mean, w1.T)
+            rows = slice(lo, lo + per)
+            z1 = np.multiply(e[rows, :, None], mids, out=buf[:len(e[rows])])
+            z1 += c[rows, :, None]
+            raw[rows] = diff[rows] * np.dot(network.grad_pre(det.model, z1), w1.T)
         return raw
 
     # a stable sort keeps the tie-break, and so the staircase, deterministic;

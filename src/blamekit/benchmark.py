@@ -58,8 +58,9 @@ class BenchmarkConfig:
         for mode in self.modes:
             if len(mode.center) != self.dims:
                 raise ConfigError("mode center width must match dims")
-        if any(k < 1 for k in self.fault_dims):
-            raise ConfigError("fault dimension counts must be >= 1")
+        if not all(1 <= k <= self.dims for k in self.fault_dims):
+            raise ConfigError(f"fault dimension counts must lie in [1, dims = {self.dims}], "
+                              f"got {list(self.fault_dims)}")
 
 
 def default_modes(dims: int) -> list[Mode]:

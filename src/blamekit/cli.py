@@ -7,7 +7,8 @@ writes the outputs and, next to the primary one, a run log (command,
 flags, seeds, SHA-256 of each input) all or nothing, so any artifact
 can be reproduced exactly. `explain` loads its input, then explains and
 encodes it EXPLAIN_BLOCK rows at a time inside its writer, so its
-memory is bounded and an error partway through still writes nothing.
+memory is bounded and an error partway through still writes nothing;
+`evaluate` runs each method over the same blocks.
 Exit codes: 0 ok; 2 bad input, a refused setting (`ConfigError`) or an
 unwritable output; 3 training failure, divergence included; 4 empty
 baseline. Any other exception is a bug and escapes `main` as a traceback.
@@ -37,7 +38,7 @@ from .surrogate import surrogate_attribution
 
 EXIT_CODES = {TrainingError: 3, EmptyBaselineError: 4}  # any other error: 2
 
-# rows `explain` explains and encodes at a time, which bounds its memory
+# rows `explain` explains and encodes, and `evaluate` runs a method on, at a time
 EXPLAIN_BLOCK = 4096
 
 
@@ -174,19 +175,18 @@ def cmd_evaluate(args):
     test = bench.load_labeled(args.test_csv, det.normalizer.names)
     sur_seed = _fan_out(args.seed, "surrogate")
 
-    def ig_method(x_raw):
-        return explain(det, ex, x_raw, metric=args.metric, path=args.path).blame
-
-    def surrogate_method(x_raw):
-        return surrogate_attribution(det, det.normalizer.apply(x_raw), sur_seed)
-
-    available = {"ig": ig_method, "surrogate": surrogate_method}
+    available = {
+        "ig": lambda x: explain(det, ex, x, metric=args.metric, path=args.path).blame,
+        "surrogate": lambda x: surrogate_attribution(det, det.normalizer.apply(x), sur_seed)}
     methods = {}
     for name in args.methods.split(","):
         name = name.strip()
         if name not in available:
             raise InputError(f"unknown method {name!r}; choose from {sorted(available)}")
-        methods[name] = available[name]
+        if name in methods:
+            raise InputError(f"--methods names {name!r} more than once")
+        methods[name] = lambda x, method=available[name]: np.concatenate(
+            [method(x[lo:lo + EXPLAIN_BLOCK]) for lo in range(0, len(x), EXPLAIN_BLOCK)])
 
     reports = evaluate_methods(test, methods)
     table = format_table(reports)

@@ -67,9 +67,11 @@ class ExemplarSet:
     @classmethod
     def from_dict(cls, d: dict) -> "ExemplarSet":
         """Exemplars are normalized training rows that the detector scores,
-        so a point outside the unit cube [0, 1]^D, points of unequal width,
-        a score outside [0, 1] or a cluster that is not an integer is
-        refused (InputError)."""
+        so an empty list, a point outside the unit cube [0, 1]^D, points of
+        unequal width, a score outside [0, 1] or a cluster that is not an
+        integer is refused (InputError)."""
+        if not d["exemplars"]:
+            raise InputError("exemplars: the list is empty")
         points, clusters, scores = [], [], []
         for i, e in enumerate(d["exemplars"]):
             points.append(finite_array(e["x"], (None,), f"exemplars[{i}].x"))

@@ -6,14 +6,16 @@ in (0,1) and the input gradient is defined everywhere. Backprop is
 hand-rolled for this fixed architecture; no autodiff framework.
 
 The network is split at the first layer's pre-activation z1 = x·W1 + b1.
-`forward_pre` and `grad_pre` score and differentiate from z1, and
-`preactivation` validates an input batch and computes its z1.
-`forward_batch` and `input_gradient_batch` are the input-space wrappers
-over them (the gradient multiplies dF/dz1 by W1ᵀ); a single observation
-is a one-row matrix, `forward_batch(model, x[None])[0]`. Because the
-first layer is affine, a caller that scores points affine in x (a shared
-perturbation cloud, a straight path) can build their z1 from a few
-per-row products instead of one per point.
+`forward_pre` and `grad_pre` take z1 as a (k, H1, m) block, points last
+(k rows of m points), so each elementwise pass runs along a row's points:
+one scores every point, the other gives each row's mean dF/dz1 over its
+points. `preactivation` validates an input batch and computes its z1.
+`forward_batch` and `input_gradient_batch` are the input-space wrappers,
+one row of N points and N rows of one point (the gradient multiplies
+dF/dz1 by W1ᵀ); a single observation is a one-row matrix,
+`forward_batch(model, x[None])[0]`. Because the first layer is affine, a
+caller that scores points affine in x (a shared perturbation cloud, a
+straight path) builds their z1 from a few per-row products.
 
 `train` keeps all parameters in one flat vector, each layer a (fan_in +
 1, fan_out) view with the bias as its last row; the batch and the hidden
@@ -32,14 +34,18 @@ import numpy as np
 from .dataio import finite_array
 from .errors import ConfigError, InputError, ShapeError, TrainingError
 
-# rows per batched call over a file (IG path points, surrogate samples,
-# row-exemplar pairs): the block arrays are points x first hidden width (or
-# x D), and at widths up to 24 each stays under glibc's 128 KiB mmap
-# threshold; 4 096-row calls page-faulted and ran ~2x slower
+# rows per block of `train`'s gather, the axis path's corners and the
+# row-exemplar distances: under glibc's 128 KiB mmap threshold at widths up
+# to 24 (4 096-row blocks page-faulted and ran ~2x slower; the corners and
+# distances also ran slower at 2 048)
 ROWS = 512
+# points per (rows, H1, points) block on the straight path and in the
+# surrogate, one buffer reused per call; 512-point blocks ran ~1.3x slower
+POINTS = 2048
 
-# products go through np.dot, not @: bit-identical here, with less per-call
-# overhead, and the output layer's (N, 1)·(1, H) product is ~3x faster
+# 2-D products go through np.dot, not @: bit-identical here, with less
+# per-call overhead, and the output layer's (N, 1)·(1, H) product is ~3x
+# faster; a block's layers are batched np.matmul products
 
 
 def logistic(z, out=None):
@@ -50,7 +56,8 @@ def logistic(z, out=None):
 
 # each activation, and its derivative expressed through its value a = act(z)
 _ACT = {"logistic": logistic, "tanh": np.tanh}
-_ACT_DERIV = {"logistic": lambda a: a * (1.0 - a), "tanh": lambda a: 1.0 - a * a}
+_ACT_DERIV = {"logistic": lambda a, out=None: np.multiply(a, 1.0 - a, out=out),
+              "tanh": lambda a, out=None: np.subtract(1.0, np.multiply(a, a, out=out), out=out)}
 ACTIVATIONS = tuple(_ACT)
 
 
@@ -155,10 +162,13 @@ def _check_input(model: NetworkModel, x) -> np.ndarray:
 
 
 def _activations_pre(model: NetworkModel, z1: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output from the first layer's (N, H1) pre-activation."""
-    acts = [_ACT[model.layers[0].act](z1)]
+    """Every layer's output from a (k, H1, m) block of first-layer
+    pre-activations, points last; the first is written over z1."""
+    acts = [_ACT[model.layers[0].act](z1, out=z1)]
     for layer in model.layers[1:]:
-        acts.append(_ACT[layer.act](np.dot(acts[-1], layer.w) + layer.b))
+        z = np.matmul(layer.w.T, acts[-1])
+        z += layer.b[:, None]
+        acts.append(_ACT[layer.act](z, out=z))
     return acts
 
 
@@ -170,29 +180,36 @@ def preactivation(model: NetworkModel, x) -> np.ndarray:
 
 
 def forward_pre(model: NetworkModel, z1: np.ndarray) -> np.ndarray:
-    """Scores from the first layer's (N, H1) pre-activation; shape (N,)."""
+    """Scores of a (k, H1, m) block of first-layer pre-activations, points
+    last; shape (k, m). The block is overwritten."""
     return _activations_pre(model, z1)[-1][:, 0]
 
 
 def grad_pre(model: NetworkModel, z1: np.ndarray) -> np.ndarray:
-    """dF/dz1 for each row of the first layer's (N, H1) pre-activation."""
-    activations = _activations_pre(model, z1)
-    # backprop dF down to z1 (no parameter gradients needed here)
-    delta = np.ones((len(z1), 1))
-    for i in range(len(model.layers) - 1, 0, -1):
-        delta = np.dot(delta * _ACT_DERIV[model.layers[i].act](activations[i]),
-                       model.layers[i].w.T)
-    return delta * _ACT_DERIV[model.layers[0].act](activations[0])
+    """Per row of a (k, H1, m) block of first-layer pre-activations, points
+    last, the mean of dF/dz1 over its m points; shape (k, H1). The block is
+    overwritten. The last backward step and the mean are one batched product
+    of dF/dz2 (k, H2, m) with the first activation's derivative (k, m, H1),
+    contracted with W2, so no (k, H1, m) gradient is formed; a net without
+    hidden layers has an identity above its output as W2."""
+    acts = _activations_pre(model, z1)
+    w, delta = np.ones((1, 1)), np.ones((1, 1, z1.shape[2]))
+    for layer, a in zip(model.layers[:0:-1], acts[:0:-1]):
+        delta = np.multiply(np.matmul(w, delta), _ACT_DERIV[layer.act](a, out=a), out=a)
+        w = layer.w
+    deriv = _ACT_DERIV[model.layers[0].act](acts[0], out=acts[0])
+    return np.sum(np.matmul(delta, deriv.transpose(0, 2, 1)) * w.T, axis=1) / z1.shape[2]
 
 
 def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """Scores for a (N, D) batch; returns shape (N,)."""
-    return forward_pre(model, preactivation(model, x))
+    """Scores for a (N, D) batch, as one row of N points; returns shape (N,)."""
+    return forward_pre(model, preactivation(model, x).T[None])[0]
 
 
 def input_gradient_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """dF/dx for each row of a (N, D) batch, exact reverse mode."""
-    return np.dot(grad_pre(model, preactivation(model, x)), model.layers[0].w.T)
+    """dF/dx for each row of a (N, D) batch, as N rows of one point each,
+    exact reverse mode."""
+    return np.dot(grad_pre(model, preactivation(model, x)[:, :, None]), model.layers[0].w.T)
 
 
 def mean_bce(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:

@@ -13,8 +13,8 @@ Every row of a call shares one seeded perturbation cloud z, so the
 kernel weights and the normal matrix are built once per call and one
 solve serves all rows. The cloud is scored in the first layer's
 pre-activation space: z·W1 once per call and x·W1 + b1 once per row, so
-row x's point x + z enters the network as (x·W1 + b1) + z·W1, in blocks
-of at most network.ROWS points.
+row x's point x + z enters the network as (x·W1 + b1) + z·W1, in one
+reused (rows, H1, samples) block of at most network.POINTS points.
 """
 
 from __future__ import annotations
@@ -52,13 +52,14 @@ def surrogate_coefficients(det: Detector, x_norm: np.ndarray, seed: int = 0) -> 
     a = design.T @ (w[:, None] * design) + 1e-6 * np.eye(dims + 1)
     b = np.empty((dims + 1, len(x_norm)))
     weighted = design.T * w
-    # x + z enters the first (affine) layer as cw[row] + zW
-    zw = np.dot(z, det.model.layers[0].w)
-    per = max(1, network.ROWS // samples)
+    # x + z enters the first (affine) layer as cw[row] + zW, points last
+    zw = np.dot(z, det.model.layers[0].w).T.copy()
+    per = max(1, network.POINTS // samples)
+    buf = np.empty((min(per, len(x_norm)), *zw.shape))
     for lo in range(0, len(x_norm), per):
-        z1 = cw[lo:lo + per, None, :] + zw
-        scores = network.forward_pre(det.model, z1.reshape(-1, zw.shape[1]))
-        b[:, lo:lo + per] = np.dot(weighted, scores.reshape(-1, samples).T)
+        rows = slice(lo, lo + per)
+        z1 = np.add(cw[rows, :, None], zw, out=buf[:len(cw[rows])])
+        b[:, rows] = np.dot(weighted, network.forward_pre(det.model, z1).T)
     return np.linalg.solve(a, b)[1:].T
 
 

@@ -397,7 +397,7 @@ def names_as_integers(d):
     ("detector.json", set_first_weight, "null", "model.layers[0].w[0][0]"),
     ("detector.json", set_first_bias, "true", "model.layers[0].b[0]"),
     ("exemplars.json", set_first_coordinate, "NaN", ""),
-    ("exemplars.json", no_exemplars, "", ""),
+    ("exemplars.json", no_exemplars, "", "exemplars: the list is empty"),
     ("exemplars.json", first_coordinates_outside_cube, "1e300", ""),
     ("exemplars.json", set_first_cluster, "0.5", "exemplars[0].cluster"),
     ("exemplars.json", set_first_score, "-1e308", "exemplars[0].score"),
@@ -735,6 +735,51 @@ class TestEvaluateCommand:
                    "--out", str(tmp_path / "r.json"), "--methods", "shap"])
         assert rc == 2
 
+    def test_repeated_method_exit_2(self, pipeline, tmp_path, capsys):
+        """A method named twice would be one report column: exit 2 naming it,
+        and nothing written."""
+        rc = main(["evaluate", str(pipeline / "detector.json"),
+                   str(pipeline / "exemplars.json"), str(pipeline / "test.csv"),
+                   "--out", str(tmp_path / "r.json"), "--methods", "ig,surrogate, ig"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'ig'" in err and "more than once" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blocks_of_7_match_one_block(self, det8, ex8, bench8, tmp_path, monkeypatch):
+        """Each method runs over EXPLAIN_BLOCK rows at a time, and the report
+        agrees with the one-block report."""
+        _, _, test = bench8
+        paths = [tmp_path / name for name in ("detector.json", "exemplars.json", "test.csv")]
+        save_artifact(det8, paths[0])
+        save_artifact(ex8, paths[1])
+        names = det8.normalizer.names
+        _write_all({paths[2]: lambda fh: save_telemetry(Dataset(
+            [*names, "label", *(f"beta_{n}" for n in names)],
+            np.hstack([test.x, test.anomalous[:, None], test.beta])), fh)})
+        n = int(test.anomalous.sum())
+        assert 7 < n <= cli.EXPLAIN_BLOCK
+
+        def report(name):
+            out = tmp_path / name
+            assert main(["evaluate", *map(str, paths), "--out", str(out), "--seed", "5"]) == 0
+            return {r["method"]: r for r in json.loads(out.read_text())}
+
+        one = report("one.json")
+        calls = []
+        for name, rows_at in (("explain", 2), ("surrogate_attribution", 1)):
+            method = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, method=method, rows_at=rows_at, **kw:
+                                calls.append(len(a[rows_at])) or method(*a, **kw))
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 7)
+        blocks = report("blocks.json")
+        assert calls == 2 * ([7] * (n // 7) + [n % 7] * (n % 7 > 0))
+        assert blocks.keys() == one.keys() == {"ig", "surrogate"}
+        for name in one:
+            np.testing.assert_allclose(blocks[name]["errors"], one[name]["errors"],
+                                       rtol=0, atol=TOL)
+            assert blocks[name]["mean"] == pytest.approx(one[name]["mean"], rel=0, abs=TOL)
+
 
 COMMANDS = ["benchmark", "train", "baseline", "explain", "evaluate"]
 
@@ -848,6 +893,12 @@ class TestBadNumericFlags:
         err = self.check(["benchmark", "--out-dir", str(out), "--dims", "4", flag, value],
                          out, capsys)
         assert f"{field} must be >= " in err and f"got {value}" in err
+
+    def test_benchmark_fault_dims_above_dims(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        err = self.check(["benchmark", "--out-dir", str(out), "--dims", "1",
+                          "--fault-dims", "2"], out, capsys)
+        assert "fault dimension counts must lie in [1, dims = 1], got [2]" in err
 
     def test_baseline_n_zero(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ex.json"

@@ -35,14 +35,14 @@ GOLDEN = {
     "8d": {
         "detector.json": "96569ee9969cbf8c07ca9c681c110a61e456a421f813a3504f5bb45fc8a09310",
         "exemplars.json": "fe5dcff14526de7722ccb4a9144af0e951b93288473beecd6f495d3a146d22fd",
-        "explanations.jsonl": "4510aafdef864d631abcaf77635c870e0c8fe15fbe52e1825a22ee3f42cf410b",
-        "report.json": "3bfd8b6a49c5bd0ea13689962f4434ea17059fe5079a01073df1f0c4a347fa8c",
+        "explanations.jsonl": "a966972de76eb5634da6c2f204fe331d0acda2d1448c05e62cd8ed3ab95232a2",
+        "report.json": "a8510a08461fca485c63f341479bf662af2704a031c5a4a6d74832b5091693e3",
     },
     "16d": {
         "detector.json": "cd73c4a57883ce7ef74deae4e4aa93a678c621c54ef8de89edb4b9c699c8f405",
         "exemplars.json": "db100285bd15e342613555149f25125e959d479938614f816032013180610809",
         "explanations.jsonl": "7a40f91d05ab59f548c48e4ab6bce80016c52e48d6d53adc0592b31e7d166d7f",
-        "report.json": "f2fc7cc9a50ff43021b897d22053eb9b877b4195ca56a0d753442d8ed042e651",
+        "report.json": "7595f7e6c7f567337ae09d7f6b92b4831731ac54213afc1dd66e177c76ccd82e",
     },
 }
 

@@ -8,6 +8,7 @@ import pytest
 from blamekit import network
 from blamekit.errors import InputError, ShapeError, TrainingError
 from blamekit.network import (
+    ACTIVATIONS,
     Layer,
     NetworkModel,
     TrainConfig,
@@ -98,15 +99,16 @@ class TestInputGradient:
         rng = np.random.default_rng(seed)
         dims = int(rng.integers(2, 9))
         hidden = tuple(rng.integers(3, 12, size=rng.integers(1, 3)))
-        model = init_network(dims, hidden, seed=seed)
         x = rng.uniform(-1, 2, size=dims)
-        g = input_gradient(model, x)
-        fd = finite_diff(model, x)
-        for gd, fdd in zip(g, fd):
-            if abs(gd) < 1e-3:
-                assert abs(gd - fdd) <= 1e-7
-            else:
-                assert abs(gd - fdd) / abs(gd) <= 1e-4
+        for act in ACTIVATIONS:  # every hidden layer tanh, then every one logistic
+            model = with_hidden_acts(init_network(dims, hidden, seed=seed), [act] * len(hidden))
+            g = input_gradient(model, x)
+            fd = finite_diff(model, x)
+            for gd, fdd in zip(g, fd):
+                if abs(gd) < 1e-3:
+                    assert abs(gd - fdd) <= 1e-7
+                else:
+                    assert abs(gd - fdd) / abs(gd) <= 1e-4
 
 
 def blobs(n=200, seed=0):

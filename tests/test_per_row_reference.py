@@ -1,13 +1,16 @@
 """The batched explain and surrogate against per-row reference loops.
 
-`explain` and `surrogate_attribution` take a matrix of rows and hand the
-network blocks of at most `network.ROWS` points, as first-layer
-pre-activations on the straight path and in the surrogate. The
-references below handle one row at a time with their own input-space
-network calls, the way the pipeline did before it was batched. The
-inputs span several blocks, so block boundaries are crossed, and one
-detector has two hidden layers, so the network's loop over the layers
-after the first runs too. The tolerance, 1e-12, allows for BLAS
+`explain` and `surrogate_attribution` take a matrix of rows. On the
+straight path and in the surrogate they hand the network one reused
+(rows, first hidden width, points) block of first-layer pre-activations
+per call, at most `network.POINTS` points (or one row's points, if
+more); the axis path and the exemplar lookup work in blocks of at most
+`network.ROWS`. The references below handle one row at a time with their
+own input-space network calls, the way the pipeline did before it was
+batched. The inputs span several blocks, so block boundaries are
+crossed, and two detectors have two hidden layers, one tanh and one
+logistic, so the network's loop over the layers after the first runs
+with each activation's derivative. The tolerance, 1e-12, allows for BLAS
 rounding that depends on where a row sits in a batch; anything
 structural (a wrong exemplar, a wrong step count, a row scattered to the
 wrong place) is far larger.
@@ -19,7 +22,10 @@ import numpy as np
 import pytest
 
 from blamekit import TrainConfig, fit_detector, network, select_baseline
-from blamekit.attribution import GAP_TOLERANCE, MAX_STEPS, START_STEPS, explain
+from blamekit.attribution import (GAP_TOLERANCE, MAX_STEPS, START_STEPS, explain,
+                                  integrated_gradients)
+from blamekit.dataio import Normalizer
+from blamekit.detector import Detector
 from blamekit.exemplar import distances
 from blamekit import surrogate
 from blamekit.surrogate import surrogate_attribution
@@ -79,17 +85,38 @@ def reference_surrogate(det, x_norm, seed):
     return reference_blame(np.abs(coef) * sigma)
 
 
-@pytest.fixture(scope="module")
-def deep8(bench8):
-    """A briefly trained two-hidden-layer detector on bench8, and its exemplars."""
+def fit_deep8(bench8, act):
+    """A briefly trained two-hidden-layer detector on bench8 whose hidden
+    layers use act, and its exemplars."""
     _, train, _ = bench8
-    det = fit_detector(train, NS_CFG, TrainConfig(learning_rate=0.2, epochs=20,
-                                                  batch_size=64, hidden=(12, 7), seed=2))
+    init = network.init_network
+
+    def with_act(*args):
+        model = init(*args)
+        for layer in model.layers[:-1]:
+            layer.act = act
+        return model
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "init_network", with_act)
+        det = fit_detector(train, NS_CFG, TrainConfig(learning_rate=0.2, epochs=20,
+                                                      batch_size=64, hidden=(12, 7), seed=2))
     return det, select_baseline(det.normalizer.apply(train.values), det,
                                 n=5, epsilon=0.1, seed=3)
 
 
-@pytest.fixture(params=["8d-straight-L2", "8d-deep-straight-L2", "16d-axis-L1"])
+@pytest.fixture(scope="module")
+def deep8(bench8):
+    return fit_deep8(bench8, "tanh")
+
+
+@pytest.fixture(scope="module")
+def deep8_logistic(bench8):
+    return fit_deep8(bench8, "logistic")
+
+
+@pytest.fixture(params=["8d-straight-L2", "8d-deep-straight-L2", "8d-deep-logistic-straight-L2",
+                        "16d-axis-L1"])
 def case(request, bench8, det8, ex8, bench16, det16, ex16):
     """bench, detector, exemplars, metric, path kind and the step counts
     the rows end at."""
@@ -97,11 +124,15 @@ def case(request, bench8, det8, ex8, bench16, det16, ex16):
         # det8 meets the gap tolerance at 64 steps on every benchmark row;
         # a steeper copy makes some rows double, so both kinds share a call
         return bench8, steepened(det8, 3.0), ex8, "L2", "straight", {64, 128}
+    # the deep detectors are not steepened: a steeper copy's surrogate blame
+    # is too ill-conditioned on some rows for the batched and per-row fits to
+    # agree within TOL
     if request.param == "8d-deep-straight-L2":
-        # not steepened: a steeper copy's surrogate blame is too ill-conditioned
-        # on some rows for the batched and per-row fits to agree within TOL
         det, ex = request.getfixturevalue("deep8")
         return bench8, det, ex, "L2", "straight", {64}
+    if request.param == "8d-deep-logistic-straight-L2":
+        det, ex = request.getfixturevalue("deep8_logistic")
+        return bench8, det, ex, "L2", "straight", {64, 128}
     return bench16, det16, ex16, "L1", "axis", {START_STEPS}
 
 
@@ -109,7 +140,8 @@ def test_explain_matches_per_row_loop(case):
     (_, _, test), det, ex, metric, kind, steps_used = case
     x_raw = test.x  # faults and normal rows
     # more rows than one block holds, on the path and in the exemplar lookup
-    per_block = network.ROWS // (START_STEPS if kind == "straight" else det.dims + 1)
+    per_block = (network.POINTS // START_STEPS if kind == "straight"
+                 else network.ROWS // (det.dims + 1))
     assert len(x_raw) > max(per_block, network.ROWS // len(ex))
 
     batched = explain(det, ex, x_raw, metric=metric, path=kind)
@@ -131,8 +163,39 @@ def test_explain_matches_per_row_loop(case):
 def test_surrogate_matches_per_row_fit(case):
     (_, _, test), det, _, _, _, _ = case
     x_norm = det.normalizer.apply(test.x)
-    assert len(x_norm) > network.ROWS // (surrogate.SAMPLES_PER_DIM * det.dims)
+    assert len(x_norm) > network.POINTS // (surrogate.SAMPLES_PER_DIM * det.dims)
     batched = surrogate_attribution(det, x_norm, seed=11)
     assert batched.shape == x_norm.shape
     for b, x in zip(batched, x_norm):
         np.testing.assert_allclose(b, reference_surrogate(det, x, 11), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("dims, steps, n, grad_calls, forward_calls", [
+    (8, 64, 95, 3, 10),     # 32 rows of 64 nodes, 10 rows of 200 samples per call
+    (16, 4096, 5, 5, 1),    # a row's nodes overfill a block: one row per call
+])
+def test_points_per_network_call(monkeypatch, dims, steps, n, grad_calls, forward_calls):
+    """The straight path makes one grad_pre call per POINTS // m rows and
+    the surrogate one forward_pre call per POINTS // (25·D) rows, each on a
+    (rows, H1, points) block."""
+    model = network.init_network(dims, (5,), seed=1)
+    det = Detector(model, Normalizer(np.zeros(dims), np.ones(dims), [f"d{i}" for i in range(dims)]),
+                   {})
+    blocks = []
+    for name in ("grad_pre", "forward_pre"):
+        fn = getattr(network, name)
+        monkeypatch.setattr(network, name, lambda m, z1, fn=fn, name=name:
+                            blocks.append((name, z1.shape)) or fn(m, z1))
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 1, size=(n, dims))
+    integrated_gradients(det, x, rng.uniform(0, 1, size=(n, dims)), "straight", steps)
+    grads = [shape for name, shape in blocks if name == "grad_pre"]
+    per = max(1, network.POINTS // steps)
+    assert len(grads) == grad_calls == -(-n // per)
+    assert grads == [(per, 5, steps)] * (n // per) + [(n % per, 5, steps)] * (n % per > 0)
+    blocks.clear()
+    surrogate.surrogate_coefficients(det, x, seed=0)
+    samples = surrogate.SAMPLES_PER_DIM * dims
+    per = max(1, network.POINTS // samples)
+    assert len(blocks) == forward_calls == -(-n // per)
+    assert all(name == "forward_pre" and shape[1:] == (5, samples) for name, shape in blocks)
